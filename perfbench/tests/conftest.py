@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
+
+# bandred before numpy: it pins the BLAS thread variables NumPy reads on load.
+import bandred  # noqa: E402,F401
