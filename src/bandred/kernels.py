@@ -3,14 +3,20 @@ QR/LQ panel factorizations, compact-WY construction and application, and the
 Level-3 primitives every reduction update routes through.
 
 Determinism contract: matmul accumulates over the inner dimension in strict
-sequential order via elementwise outer-product steps. numpy ufuncs round the
-multiply and the add separately (no FMA contraction), so each output element's
-bit pattern depends only on its own row of A, column of B, alpha, beta, and
-the inner order -- never on how the output happens to be tiled across workers
-or split across tasks. That property is what lets the look-ahead variants
-repartition updates freely while staying bitwise comparable to the reference
-schedule. BLAS gemm is deliberately not used: it vectorizes the inner loop
-with shape-dependent groupings and does not have this stability.
+sequential order. Each output entry gets one rounded product and one rounded
+sum per inner index, in inner order; numpy ufuncs round the multiply and the
+add separately (no FMA contraction). So each entry's bit pattern depends only
+on its own row of A, column of B, alpha, beta and the inner order -- never on
+how the output happens to be tiled across workers or split across tasks.
+That property is what lets the look-ahead variants repartition updates
+freely while staying bitwise comparable to the reference schedule.
+
+The work is still vectorized: one broadcast multiply forms a chunk of inner
+products in a scratch stack of fixed size (SCRATCH), and the chunk is summed
+in order either by np.add.accumulate down the stack (small outputs) or by one
+slot-wide np.add per inner index (large outputs). np.add.reduce, einsum, @,
+np.dot and BLAS gemm are deliberately not used: they sum pairwise or in
+shape-dependent blocks and do not have this stability.
 
 Vector norms and dots (np.linalg.norm, @ on vectors) appear only inside panel
 factorizations, where every schedule issues the identical call on identical
@@ -28,6 +34,11 @@ from .flops import FLOPS
 ROW_TILE = 128
 COL_TILE = 128
 SYM_STRIP = 64
+# Scratch of one _accumulate call, in float64 entries (128 KB), and the
+# largest output block it sums with np.add.accumulate. Fixed like the tiles
+# above: how a sum is computed never depends on workers or workload.
+SCRATCH = 16384
+CHAIN_BLOCK = 256
 
 
 def _as2d(a, name):
@@ -36,9 +47,63 @@ def _as2d(a, name):
     return a
 
 
+def _slots(depth, rows, cols, C):
+    """Scratch stack of depth rows x cols slots, each laid out like C."""
+    if C.strides[0] <= C.strides[1]:
+        return np.empty((depth, cols, rows)).transpose(0, 2, 1)
+    return np.empty((depth, rows, cols))
+
+
+def _accumulate(A, B, C):
+    """C += A*B: per entry, one rounded product and one rounded sum for each
+    inner index, summed in strict inner order. A already carries alpha.
+
+    One broadcast multiply writes a chunk of inner products into a scratch
+    stack of at most SCRATCH entries, one rows x cols slot per inner index.
+    How the chunk is summed depends only on the shape of C:
+
+    - C with at most CHAIN_BLOCK entries: slot 0 holds C, and one
+      np.add.accumulate down the stack runs every entry's chain at once.
+      accumulate is a sequential prefix sum by definition, but each of its
+      adds waits for the one before, so it pays off only where a per-index
+      call would cost more than the chains.
+    - larger C, cut into column tiles of at most SCRATCH entries: one np.add
+      of each slot into the tile, in inner order.
+
+    np.add.reduce, einsum, @ and np.dot are never used: they sum pairwise or
+    in BLAS-chosen blocks, so their bits depend on the operand shapes.
+    """
+    rows, k = A.shape
+    n = C.shape[1]
+    if rows * n <= CHAIN_BLOCK:
+        kc = min(k, SCRATCH // (rows * n) - 1)
+        stack = _slots(kc + 1, rows, n, C)
+        for p0 in range(0, k, kc):
+            p1 = min(p0 + kc, k)
+            st = stack[: p1 - p0 + 1]
+            st[0] = C
+            np.multiply(A[:, p0:p1].T[:, :, None], B[p0:p1, None, :], out=st[1:])
+            np.add.accumulate(st, axis=0, out=st)
+            C[...] = st[-1]
+        return
+    cols = min(n, max(1, SCRATCH // rows))
+    kc = min(k, max(1, SCRATCH // (rows * cols)))
+    stack = _slots(kc, rows, cols, C)
+    for c0 in range(0, n, cols):
+        c1 = min(c0 + cols, n)
+        Ct = C[:, c0:c1]
+        for p0 in range(0, k, kc):
+            p1 = min(p0 + kc, k)
+            st = stack[: p1 - p0, :, : c1 - c0]
+            np.multiply(A[:, p0:p1].T[:, :, None], B[p0:p1, None, c0:c1], out=st)
+            for prod in st:
+                np.add(Ct, prod, out=Ct)
+
+
 def matmul(alpha, A, B, beta, C, workers=None):
     """C := alpha*A*B + beta*C with a fixed summation order over the inner
-    dimension (strictly sequential, one rank-1 step per inner index).
+    dimension (strictly sequential, one rounded product and one rounded sum
+    per inner index).
 
     Pass transposed views (A.T / B.T) for transposed operands. Parallelism,
     when a Workers handle is given, is only across disjoint row tiles of C;
@@ -58,28 +123,15 @@ def matmul(alpha, A, B, beta, C, workers=None):
         return C
 
     FLOPS.add("matmul", 2 * m * k * n)
+    if alpha != 1.0:
+        A = A * alpha  # one rounding per entry, as if folded in at each step
 
-    def run_tile(r0, r1):
-        Ct = C[r0:r1, :]
-        At = A[r0:r1, :]
-        tmp = np.empty((r1 - r0, n), dtype=np.float64)
-        if alpha == 1.0:
-            for p in range(k):
-                np.multiply(At[:, p : p + 1], B[p : p + 1, :], out=tmp)
-                np.add(Ct, tmp, out=Ct)
-        else:
-            # alpha folded into the left factor at every step; still one
-            # fixed order, just one extra rounding on the product.
-            for p in range(k):
-                np.multiply(At[:, p : p + 1] * alpha, B[p : p + 1, :], out=tmp)
-                np.add(Ct, tmp, out=Ct)
-
-    tiles = [(r0, min(r0 + ROW_TILE, m)) for r0 in range(0, m, ROW_TILE)]
+    tiles = [slice(r0, min(r0 + ROW_TILE, m)) for r0 in range(0, m, ROW_TILE)]
     if workers is None or len(tiles) == 1:
-        for r0, r1 in tiles:
-            run_tile(r0, r1)
+        for t in tiles:
+            _accumulate(A[t], B, C[t])
     else:
-        workers.map(lambda t: run_tile(*t), tiles)
+        workers.map(lambda t: _accumulate(A[t], B, C[t]), tiles)
     return C
 
 
@@ -345,10 +397,11 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     """A2[:, c0:c1] += X3*Y^T + Y*X3^T, lower triangle only, exactly.
 
     Column-strip decomposition: for each strip, the rectangular body below
-    the strip's diagonal block is two matmuls; the triangular head is one
-    column-pair of matmuls per column, so not a single off-triangle flop is
-    spent or counted. Always X3*Y^T first, then Y*X3^T -- a fixed order that
-    any column split of the range preserves per element.
+    the strip's diagonal block is two matmuls. The d x d diagonal block is
+    summed whole on a copy and only its lower triangle is written back; the
+    flops charged, under "syr2k", are those of the triangle alone,
+    4*k*d(d+1)/2. Always X3*Y^T first, then Y*X3^T -- a fixed order that any
+    column split of the range preserves per element.
     """
     _as2d(A2, "A2"), _as2d(X3, "X3"), _as2d(Y, "Y")
     j = A2.shape[0]
@@ -356,7 +409,8 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
         raise ValueError("syr2k_lower shape mismatch")
     if not (0 <= c0 <= c1 <= j):
         raise ValueError("syr2k_lower bad column range")
-    if c0 == c1:
+    k = X3.shape[1]
+    if c0 == c1 or k == 0:
         return A2
 
     def run_strip(s0, s1):
@@ -364,10 +418,13 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
             body = A2[s1:j, s0:s1]
             matmul(1.0, X3[s1:j, :], Y[s0:s1, :].T, 1.0, body)
             matmul(1.0, Y[s1:j, :], X3[s0:s1, :].T, 1.0, body)
-        for cc in range(s0, s1):
-            head = A2[cc:s1, cc : cc + 1]
-            matmul(1.0, X3[cc:s1, :], Y[cc : cc + 1, :].T, 1.0, head)
-            matmul(1.0, Y[cc:s1, :], X3[cc : cc + 1, :].T, 1.0, head)
+        d = s1 - s0
+        lower = np.tri(d, dtype=bool)
+        head = np.where(lower, A2[s0:s1, s0:s1], 0.0)
+        _accumulate(X3[s0:s1, :], Y[s0:s1, :].T, head)
+        _accumulate(Y[s0:s1, :], X3[s0:s1, :].T, head)
+        np.copyto(A2[s0:s1, s0:s1], head, where=lower)
+        FLOPS.add("syr2k", 2 * k * d * (d + 1))
 
     strips = [(s0, min(s0 + SYM_STRIP, c1)) for s0 in range(c0, c1, SYM_STRIP)]
     if workers is None or len(strips) == 1:

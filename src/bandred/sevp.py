@@ -287,9 +287,10 @@ def _finalize(A, n, w):
 def reduce_sym_band(A, cfg, groups=None):
     """Reduce symmetric A to a symmetric band matrix of bandwidth cfg.w.
 
-    Only A's lower triangle is read. Returns the band matrix (full storage,
-    off-band exactly zero), the accumulated orthogonal factor when
-    cfg.accumulate_q, and the flop counts of this run. If n <= w + 1 the
+    Only A's lower triangle is read; a NaN or Inf in it raises ValueError,
+    since it would spread through the whole band. Returns the band matrix
+    (full storage, off-band exactly zero), the accumulated orthogonal factor
+    when cfg.accumulate_q, and the flop counts of this run. If n <= w + 1 the
     input is already within the band and is returned unchanged.
     """
     cfg.validate()
@@ -298,6 +299,8 @@ def reduce_sym_band(A, cfg, groups=None):
         raise ValueError("reduce_sym_band needs a square matrix")
     if A.shape[0] != cfg.n:
         raise ValueError(f"cfg.n={cfg.n} does not match matrix order {A.shape[0]}")
+    if not np.isfinite(A)[np.tri(cfg.n, dtype=bool)].all():
+        raise ValueError("reduce_sym_band: the lower triangle holds NaN or Inf")
 
     ks = _schedule(cfg.n, cfg.w, cfg.b)
     before = FLOPS.snapshot()

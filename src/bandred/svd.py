@@ -207,6 +207,7 @@ def reduce_tri_band(A, w, b, groups=None, range_log=None, inner_b=16):
     for j > i + w. Sequential by design (groups is accepted for interface
     symmetry and ignored). For m < n the transpose is reduced, giving the
     lower triangular-band transposed form (bandwidth tags record which).
+    A NaN or Inf anywhere in A raises ValueError.
     """
     if w < 1:
         raise ValueError("w >= 1")
@@ -215,6 +216,8 @@ def reduce_tri_band(A, w, b, groups=None, range_log=None, inner_b=16):
     A = np.array(A, dtype=np.float64, order="F")
     if A.ndim != 2:
         raise ValueError("reduce_tri_band needs a 2-D matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("reduce_tri_band: the matrix holds NaN or Inf")
     if range_log is not None and w % b != 0:
         raise ValueError("range logging requires w to be a multiple of b")
     m, n = A.shape
@@ -518,6 +521,7 @@ def reduce_band_svd(A, cfg, groups=None, range_log=None):
     triangular-band reduction. If m <= w + 1 nothing is off-band and the
     input is returned unchanged. m < n reduces the transpose (see module
     docstring). range_log is only meaningful for the Reference schedule.
+    A NaN or Inf anywhere in A raises ValueError.
     """
     cfg.validate()
     A = np.array(A, dtype=np.float64, order="F")
@@ -527,6 +531,8 @@ def reduce_band_svd(A, cfg, groups=None, range_log=None):
         raise ValueError(
             f"cfg says {cfg.m} x {cfg.n} but the matrix is {A.shape[0]} x {A.shape[1]}"
         )
+    if not np.isfinite(A).all():
+        raise ValueError("reduce_band_svd: the matrix holds NaN or Inf")
     if cfg.m < cfg.n:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # already warned once

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandred import (
+    FLOPS,
     ExecGroups,
     Workers,
     apply_wy_left,
@@ -19,7 +22,14 @@ from bandred import (
     snapshot_flops,
     sym_two_sided_update,
 )
-from bandred.kernels import symm_lower, syr2k_lower
+from bandred.kernels import (
+    CHAIN_BLOCK,
+    ROW_TILE,
+    SCRATCH,
+    SYM_STRIP,
+    symm_lower,
+    syr2k_lower,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -51,6 +61,178 @@ def _matmul_naive(alpha, A, B, beta, C):
                     acc = acc + (A[i, p] * alpha) * B[p, j]
             out[i, j] = acc
     return out
+
+
+def _matmul_loop(alpha, A, B, beta, C, kind="matmul"):
+    """matmul as one Python-level rank-1 step per inner index: the plain
+    form of the contract, kept as the oracle for the vectorized kernel's
+    bits and flop counts."""
+    m, k = A.shape
+    n = B.shape[1]
+    if beta == 0.0:
+        C[...] = 0.0
+    elif beta != 1.0:
+        np.multiply(C, beta, out=C)
+    if alpha == 0.0 or k == 0 or m == 0 or n == 0:
+        return C
+    FLOPS.add(kind, 2 * m * k * n)
+    tmp = np.empty((m, n))
+    for p in range(k):
+        np.multiply(A[:, p : p + 1] * alpha, B[p : p + 1, :], out=tmp)
+        np.add(C, tmp, out=C)
+    return C
+
+
+def _syr2k_loop(A2, X3, Y, c0, c1):
+    """syr2k_lower with a column-pair of loop matmuls per head column: the
+    oracle for the blocked head. The head's flops go to the "syr2k" class."""
+    j = A2.shape[0]
+    for s0 in range(c0, c1, SYM_STRIP):
+        s1 = min(s0 + SYM_STRIP, c1)
+        body = A2[s1:j, s0:s1]
+        _matmul_loop(1.0, X3[s1:j, :], Y[s0:s1, :].T, 1.0, body)
+        _matmul_loop(1.0, Y[s1:j, :], X3[s0:s1, :].T, 1.0, body)
+        for cc in range(s0, s1):
+            head = A2[cc:s1, cc : cc + 1]
+            _matmul_loop(1.0, X3[cc:s1, :], Y[cc : cc + 1, :].T, 1.0, head, kind="syr2k")
+            _matmul_loop(1.0, Y[cc:s1, :], X3[cc : cc + 1, :].T, 1.0, head, kind="syr2k")
+    return A2
+
+
+LAYOUTS = ("C", "F", "transposed", "strided")
+
+
+def _laid_out(values, layout):
+    """values copied into an array of the given memory layout."""
+    m, n = values.shape
+    if layout == "C":
+        out = np.empty((m, n))
+    elif layout == "F":
+        out = np.empty((m, n), order="F")
+    elif layout == "transposed":
+        out = np.empty((n, m)).T
+    else:
+        out = np.empty((2 * m + 1, 3 * n + 2), order="F")[1::2, 2::3]
+    out[...] = values
+    return out
+
+
+def _values(rng, shape):
+    """Normal entries with some +0.0 and -0.0, so zero signs are checked."""
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    v[rng.random(shape) < 0.1] = -0.0
+    return v
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    with ExecGroups(2, 0) as groups:
+        yield Workers(groups._all, 2)
+
+
+def _edge_dims(draw):
+    """(m, k, n) on or next to an inner-chunk or column-tile edge of the
+    scratch stack, on both sides of the accumulate/slot-add split."""
+    rows = draw(st.sampled_from([1, 2, 5, 16, 64, ROW_TILE]))
+    nudge = st.sampled_from([-1, 0, 1])
+    if draw(st.booleans()):  # chain path: small C, long chunks
+        n = max(1, min(CHAIN_BLOCK // rows + draw(nudge), 300))
+        kc = max(1, SCRATCH // (rows * n) - 1)
+    else:  # slot path: wide C, column tiles of SCRATCH // rows
+        cols = SCRATCH // rows
+        n = max(1, min(draw(st.sampled_from([1, 2])) * cols + draw(nudge), 300))
+        kc = max(1, SCRATCH // (rows * min(n, cols)))
+    k = max(1, min(draw(st.sampled_from([1, 2])) * kc + draw(nudge), 1500))
+    return rows, k, n
+
+
+@st.composite
+def _matmul_case(draw):
+    kind = draw(st.sampled_from(["tiny", "dot", "rank_b", "edge"]))
+    if kind == "tiny":
+        m, k, n = (draw(st.integers(0, 3)) for _ in range(3))
+    elif kind == "dot":
+        m, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(64, 1500))
+    elif kind == "rank_b":
+        m, n, k = draw(st.integers(100, 300)), draw(st.integers(60, 200)), draw(st.integers(1, 24))
+    else:
+        m, k, n = _edge_dims(draw)
+    return dict(
+        dims=(m, k, n),
+        layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
+        alpha=draw(st.sampled_from([1.0, -1.0, 0.5, 0.0])),
+        beta=draw(st.sampled_from([0.0, 1.0, -1.0, 2.5])),
+        threaded=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _counted(fn, *args, **kw):
+    reset_flops()
+    fn(*args, **kw)
+    return snapshot_flops()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_matmul_case())
+def test_matmul_matches_loop_oracle_bitwise(case, two_workers):
+    m, k, n = case["dims"]
+    rng = np.random.default_rng(case["seed"])
+    la, lb, lc = case["layouts"]
+    A = _laid_out(_values(rng, (m, k)), la)
+    B = _laid_out(_values(rng, (k, n)), lb)
+    C0 = _values(rng, (m, n))
+    got, want = _laid_out(C0, lc), _laid_out(C0, lc)
+    workers = two_workers if case["threaded"] else None
+    got_flops = _counted(matmul, case["alpha"], A, B, case["beta"], got, workers)
+    want_flops = _counted(_matmul_loop, case["alpha"], A, B, case["beta"], want)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert got_flops == want_flops
+
+
+@st.composite
+def _syr2k_case(draw):
+    j = draw(st.integers(1, 3 * SYM_STRIP + 5))
+    c0 = draw(st.integers(0, j))
+    return dict(
+        j=j,
+        b=draw(st.integers(0, 24)),
+        cols=(c0, draw(st.integers(c0, j))),
+        layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
+        threaded=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_syr2k_case())
+def test_syr2k_lower_matches_per_column_oracle_bitwise(case, two_workers):
+    j, b = case["j"], case["b"]
+    rng = np.random.default_rng(case["seed"])
+    la, lx, ly = case["layouts"]
+    S0 = _values(rng, (j, j))
+    X3 = _laid_out(_values(rng, (j, b)), lx)
+    Y = _laid_out(_values(rng, (j, b)), ly)
+    got, want = _laid_out(S0, la), _laid_out(S0, la)
+    workers = two_workers if case["threaded"] else None
+    got_flops = _counted(syr2k_lower, got, X3, Y, *case["cols"], workers)
+    want_flops = _counted(_syr2k_loop, want, X3, Y, *case["cols"])
+    assert np.array_equal(_bits(got), _bits(want))  # the upper triangle included
+    assert got_flops == want_flops
+
+
+def test_flop_snapshot_reports_every_class_after_reset():
+    FLOPS.reset()
+    assert FLOPS.snapshot() == {"matmul": 0, "house": 0, "syr2k": 0, "total": 0}
+    syr2k_lower(np.zeros((3, 3)), np.ones((3, 2)), np.ones((3, 2)), 0, 3)
+    snap = FLOPS.snapshot()
+    assert snap["syr2k"] == 4 * 2 * 3 * 4 // 2 and snap["house"] == 0
+    assert snap["total"] == snap["matmul"] + snap["syr2k"]
 
 
 # --- matmul ----------------------------------------------------------------

@@ -239,3 +239,19 @@ def test_counted_flops_track_nominal():
     res = reduce_sym_band(_sym(n, 14), _cfg(n, 16, 8))
     nominal = sevp_nominal_flops(n)
     assert abs(res.flops["total"] - nominal) <= 0.05 * nominal
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_lower_triangle_is_rejected(bad):
+    A = _sym(24, 5)
+    A[17, 3] = A[3, 17] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        reduce_sym_band(A, _cfg(24, 4, 2))
+
+
+def test_non_finite_upper_triangle_is_never_read():
+    A = _sym(24, 5)
+    poisoned = A.copy(order="F")
+    poisoned[3, 17] = np.nan
+    want = reduce_sym_band(A, _cfg(24, 4, 2)).band
+    assert np.array_equal(reduce_sym_band(poisoned, _cfg(24, 4, 2)).band, want)

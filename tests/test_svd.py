@@ -318,3 +318,14 @@ def test_nominal_flops_formula():
     assert svd_nominal_flops(12, 8) == 2389  # round(4(mn^2 - n^3/3))
     with pytest.raises(ValueError):
         svd_nominal_flops(6, 7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(24, 16), (16, 24)])
+def test_non_finite_input_is_rejected(bad, shape):
+    A = _rand(*shape, 6)
+    A[5, 9] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        reduce_band_svd(A, _cfg(*shape, 4, 2))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        reduce_tri_band(A, 4, 2)
