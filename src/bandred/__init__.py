@@ -40,7 +40,6 @@ from .runtime import (
     Task,
     Workers,
     WriteOverlapError,
-    barrier,
     run_phase,
 )
 from .sevp import (
@@ -102,7 +101,6 @@ __all__ = [
     "EventTrace",
     "WriteOverlapError",
     "run_phase",
-    "barrier",
     "SevpConfig",
     "SevpResult",
     "SevpVariant",

@@ -8,6 +8,14 @@ built from range intersections in program order, and a static analysis
 of that DAG answers which look-ahead overlaps are legal for a given
 bandwidth/block-size ratio ``w/b``.
 
+``build_dag`` works on task-level hazard matrices: the rectangle tests
+between every pair of boxes are reduced, one fixed block of source boxes
+at a time, into ``T x T`` boolean matrices (one write/read matrix that
+yields RAW and WAR, one write/write matrix for WAW), and the edge list
+is read off their strict upper triangle.  Peak memory is therefore
+O(``ROW_BLOCK`` * boxes + T^2) and no per-pair Python object exists
+before the output list itself.
+
 Two granularities of truth live here:
 
 * ``build_dag`` applies the raw read/write rule verbatim, so the DAG
@@ -56,6 +64,17 @@ class TaskKind(Enum):
     LQ_PANEL = "lq_panel"
     LEFT_UPDATE = "left_update"
     RIGHT_UPDATE = "right_update"
+
+
+# Side of each task kind for essential_adjacency: 0 for a panel, 1 and 2
+# for the two update sides, whose mutual edges commute.
+_SIDE = {TaskKind.QR_PANEL: 0, TaskKind.LQ_PANEL: 0,
+         TaskKind.LEFT_UPDATE: 1, TaskKind.RIGHT_UPDATE: 2}
+# Hazard labels by priority code, as Python str objects for the edge list.
+_CAUSES = np.array(("RAW", "WAR", "WAW"), dtype=object)
+# Source boxes per broadcast block in build_dag: bounds its box-level
+# temporaries at ROW_BLOCK x boxes booleans.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -225,44 +244,51 @@ def _ranges_to_array(tasks: Sequence[TaskNode], attr: str) -> tuple[np.ndarray, 
     return np.asarray(owner, dtype=np.int64), np.asarray(boxes, dtype=np.int64)
 
 
-def _pairs(owner_a: np.ndarray, box_a: np.ndarray,
-           owner_b: np.ndarray, box_b: np.ndarray) -> set[tuple[int, int]]:
-    # Ordered task pairs (i, j), i < j, with some box of i (role A)
-    # intersecting some box of j (role B).
-    if len(owner_a) == 0 or len(owner_b) == 0:
-        return set()
-    a = box_a[:, None, :]
+def _meets(owner_a: np.ndarray, box_a: np.ndarray, owner_b: np.ndarray,
+           box_b: np.ndarray, n_tasks: int) -> np.ndarray:
+    # T x T task matrix, True at (i, j) when some box of i (role A)
+    # intersects some box of j (role B), in both triangles.  Source boxes
+    # go through the broadcast ROW_BLOCK at a time, so the box-level
+    # temporaries stay O(ROW_BLOCK * boxes) whatever the task count.
+    hit_tasks = np.zeros((n_tasks, n_tasks), dtype=bool)
     bx = box_b[None, :, :]
-    hit = ((a[..., 0] < bx[..., 1]) & (bx[..., 0] < a[..., 1]) &
-           (a[..., 2] < bx[..., 3]) & (bx[..., 2] < a[..., 3]))
-    hit &= owner_a[:, None] < owner_b[None, :]
-    ia, ib = np.nonzero(hit)
-    return set(zip(owner_a[ia].tolist(), owner_b[ib].tolist()))
+    for s in range(0, len(owner_a), ROW_BLOCK):
+        a = box_a[s:s + ROW_BLOCK, None, :]
+        hit = ((a[..., 0] < bx[..., 1]) & (bx[..., 0] < a[..., 1]) &
+               (a[..., 2] < bx[..., 3]) & (bx[..., 2] < a[..., 3]))
+        ia, ib = np.nonzero(hit)
+        hit_tasks[owner_a[s + ia], owner_b[ib]] = True
+    return hit_tasks
 
 
 def build_dag(tasks: Sequence[TaskNode], m: int, n: int, w: int, b: int,
               form: SvdForm) -> TaskDag:
     """Build the dependency DAG over ``tasks`` in program order.
 
-    For every ordered pair a rectangle-intersection test is applied to
-    the three hazard combinations; read-after-write wins over
-    write-after-read wins over write-after-write when a pair qualifies
-    under more than one.
+    Each hazard class becomes one ``T x T`` boolean task matrix, of
+    which only the strict upper triangle (``i < j``) is kept: RAW marks
+    ``(i, j)`` when a write of ``i`` meets a read of ``j``, WAR when a
+    read of ``i`` meets a write of ``j``, WAW when two writes meet.  The
+    rectangle tests run over ``ROW_BLOCK`` source boxes at a time, so
+    peak memory is O(``ROW_BLOCK`` * boxes + T^2) rather than
+    O(boxes^2).  Edges come out of the union in row-major order, i.e.
+    sorted by ``(src, dst)``, labelled read-after-write over
+    write-after-read over write-after-write when a pair qualifies under
+    more than one.
     """
+    n_tasks = len(tasks)
     rd_own, rd_box = _ranges_to_array(tasks, "reads")
     wr_own, wr_box = _ranges_to_array(tasks, "writes")
-    raw = _pairs(wr_own, wr_box, rd_own, rd_box)
-    war = _pairs(rd_own, rd_box, wr_own, wr_box)
-    waw = _pairs(wr_own, wr_box, wr_own, wr_box)
-    edges = []
-    for pair in sorted(raw | war | waw):
-        if pair in raw:
-            cause = "RAW"
-        elif pair in war:
-            cause = "WAR"
-        else:
-            cause = "WAW"
-        edges.append((pair[0], pair[1], cause))
+    # A read of i meeting a write of j is a write of j meeting a read of
+    # i, so one write/read matrix gives RAW (upper) and WAR (transposed).
+    write_read = _meets(wr_own, wr_box, rd_own, rd_box, n_tasks)
+    raw = np.triu(write_read, 1)
+    war = np.triu(write_read.T, 1)
+    waw = np.triu(_meets(wr_own, wr_box, wr_own, wr_box, n_tasks), 1)
+    src, dst = np.nonzero(raw | war | waw)
+    code = np.where(raw[src, dst], 0, np.where(war[src, dst], 1, 2))
+    causes = _CAUSES[code].tolist()
+    edges = list(zip(src.tolist(), dst.tolist(), causes))
     return TaskDag(list(tasks), edges, m, n, w, b, form)
 
 
@@ -276,11 +302,11 @@ def essential_adjacency(dag: TaskDag) -> list[list[int]]:
     the scheduler is free to flip, so those edges are dropped.  Every
     edge with a panel endpoint stays.
     """
-    updates = {TaskKind.LEFT_UPDATE, TaskKind.RIGHT_UPDATE}
+    side = [_SIDE[nd.kind] for nd in dag.nodes]
     adj: list[list[int]] = [[] for _ in dag.nodes]
     for src, dst, _cause in dag.edges:
-        ks, kd = dag.nodes[src].kind, dag.nodes[dst].kind
-        if ks in updates and kd in updates and ks is not kd:
+        ss, sd = side[src], side[dst]
+        if ss and sd and ss != sd:
             continue
         adj[src].append(dst)
     return adj

@@ -39,6 +39,12 @@ SYM_STRIP = 64
 # above: how a sum is computed never depends on workers or workload.
 SCRATCH = 16384
 CHAIN_BLOCK = 256
+# Blue's thresholds for an unscaled 2-norm: inside (RTMIN, RTMAX) no square
+# of the sum can have underflowed or overflowed, so np.linalg.norm is
+# accurate as it stands; outside, house_gen rescales by max|x| first.
+_F64 = np.finfo(np.float64)
+RTMIN = float(np.sqrt(_F64.tiny / _F64.eps))
+RTMAX = float(np.sqrt(_F64.max) * _F64.eps)
 
 
 def _as2d(a, name):
@@ -151,6 +157,13 @@ def house_gen(x):
     v = np.zeros(L)
     v[0] = 1.0
     nrm = float(np.linalg.norm(x))
+    if not RTMIN < nrm < RTMAX:
+        # The sum of squares may have under- or overflowed (numpy warns of
+        # an overflow): take the norm of x / max|x| instead. Unit-scale
+        # vectors never get here, so their bits do not change.
+        s = float(np.max(np.abs(x)))
+        if s > 0.0:
+            nrm = s * float(np.linalg.norm(x / s))
     if nrm == 0.0:
         return v, 0.0, 0.0
     sign = -1.0 if x[0] < 0 else 1.0

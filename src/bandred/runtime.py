@@ -15,8 +15,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .flops import snapshot_flops  # re-exported; benchmarks pair it with traces
-
 __all__ = [
     "Span",
     "Task",
@@ -26,8 +24,6 @@ __all__ = [
     "Workers",
     "WriteOverlapError",
     "run_phase",
-    "barrier",
-    "snapshot_flops",
 ]
 
 
@@ -242,13 +238,3 @@ def run_phase(plan, groups):
         if err is not None:
             raise err
     return trace
-
-
-def barrier(groups):
-    """Block until all in-flight work of both groups has completed."""
-    futures = []
-    for pool in (groups._seq, groups._par, groups._all):
-        if pool is not None:
-            futures.append(pool.submit(lambda: None))
-    for fut in futures:
-        fut.result()

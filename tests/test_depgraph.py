@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandred import (
     SvdConfig,
@@ -15,6 +20,7 @@ from bandred import (
     reduce_tri_band,
     to_dot,
 )
+from bandred import depgraph
 from bandred.depgraph import essential_adjacency
 
 
@@ -268,3 +274,133 @@ def test_task_kind_values_match_instrumented_names():
         "left_update",
         "right_update",
     }
+
+
+# --- build_dag and essential_adjacency against pairwise oracles -------------
+
+
+def _meet(p, q):
+    # The half-open rectangle rule, one pair of boxes at a time.
+    ((r0, r1), (c0, c1)), ((s0, s1), (d0, d1)) = p, q
+    return r0 < s1 and s0 < r1 and c0 < d1 and d0 < c1
+
+
+def _pairwise_edges(tasks):
+    """Edges by testing every ordered task pair box by box."""
+    edges = []
+    for i, a in enumerate(tasks):
+        for j in range(i + 1, len(tasks)):
+            c = tasks[j]
+            if any(_meet(p, q) for p in a.writes for q in c.reads):
+                edges.append((i, j, "RAW"))
+            elif any(_meet(p, q) for p in a.reads for q in c.writes):
+                edges.append((i, j, "WAR"))
+            elif any(_meet(p, q) for p in a.writes for q in c.writes):
+                edges.append((i, j, "WAW"))
+    return edges
+
+
+def _loop_essential_adjacency(dag):
+    """essential_adjacency as a plain per-edge loop over task kinds."""
+    updates = {TaskKind.LEFT_UPDATE, TaskKind.RIGHT_UPDATE}
+    adj = [[] for _ in dag.nodes]
+    for src, dst, _cause in dag.edges:
+        ks, kd = dag.nodes[src].kind, dag.nodes[dst].kind
+        if ks in updates and kd in updates and ks is not kd:
+            continue
+        adj[src].append(dst)
+    return adj
+
+
+def _assert_edges_exact(got, want):
+    assert isinstance(got, list)
+    assert got == want  # same order and labels
+    for src, dst, cause in got:
+        assert type(src) is int and type(dst) is int and type(cause) is str
+
+
+@st.composite
+def _task_lists(draw):
+    # Coordinates on a small grid, so boxes meet often, repeat, touch at
+    # edges or have zero area; a shared pool adds exact duplicates.
+    coord = st.integers(0, 10)
+
+    def interval():
+        lo, hi = sorted((draw(coord), draw(coord)))
+        return (lo, hi)
+
+    pool = [(interval(), interval()) for _ in range(draw(st.integers(1, 6)))]
+
+    def boxes():
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            out.append(draw(st.sampled_from(pool)) if draw(st.booleans())
+                       else (interval(), interval()))
+        return tuple(out)
+
+    tasks = []
+    for it in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(list(TaskKind)))
+        block = None if kind in (TaskKind.QR_PANEL, TaskKind.LQ_PANEL) else it
+        tasks.append(TaskNode(kind, it, block, boxes(), boxes()))
+    return tasks
+
+
+@settings(max_examples=150, deadline=None)
+@given(tasks=_task_lists(), row_block=st.sampled_from([1, 2, 3, 7, 64, depgraph.ROW_BLOCK]))
+@example(tasks=[], row_block=depgraph.ROW_BLOCK)
+def test_build_dag_matches_pairwise_oracle(tasks, row_block):
+    # Small row blocks put block boundaries inside and between tasks.
+    with mock.patch.object(depgraph, "ROW_BLOCK", row_block):
+        dag = build_dag(tasks, 10, 10, 2, 2, SvdForm.BAND)
+    _assert_edges_exact(dag.edges, _pairwise_edges(tasks))
+    assert dag.nodes == tasks
+    assert essential_adjacency(dag) == _loop_essential_adjacency(dag)
+
+
+def test_build_dag_matches_oracle_across_the_real_row_block():
+    # More boxes than ROW_BLOCK per role, with single tasks whose boxes
+    # straddle a block boundary, at the module's own block size.
+    rng = np.random.default_rng(3)
+
+    def boxes(k):
+        out = []
+        for _ in range(k):
+            r0, c0 = rng.integers(0, 40, 2).tolist()
+            dr, dc = rng.integers(0, 4, 2).tolist()
+            out.append(((r0, r0 + dr), (c0, c0 + dc)))
+        return tuple(out)
+
+    kinds = list(TaskKind)
+    tasks = [TaskNode(kinds[i % 4], i, i, boxes(int(rng.integers(0, 30))),
+                      boxes(int(rng.integers(0, 20))))
+             for i in range(40)]
+    n_writes = sum(len(t.writes) for t in tasks)
+    assert n_writes > depgraph.ROW_BLOCK
+    dag = build_dag(tasks, 40, 40, 2, 2, SvdForm.BAND)
+    _assert_edges_exact(dag.edges, _pairwise_edges(tasks))
+    assert {c for _, _, c in dag.edges} == {"RAW", "WAR", "WAW"}
+    assert essential_adjacency(dag) == _loop_essential_adjacency(dag)
+
+
+@pytest.mark.parametrize("form", list(SvdForm))
+@pytest.mark.parametrize("w", [2, 4, 6])
+def test_build_dag_matches_oracle_on_enumerated_tasks(form, w):
+    tasks = enumerate_tasks(24, 20, w, 2, form)
+    dag = build_dag(tasks, 24, 20, w, 2, form)
+    _assert_edges_exact(dag.edges, _pairwise_edges(tasks))
+    assert essential_adjacency(dag) == _loop_essential_adjacency(dag)
+
+
+def test_build_dag_peak_memory_stays_bounded():
+    # O(ROW_BLOCK * boxes + T^2) working memory plus the edge list: about
+    # 1,050 tasks and 200k edges here, well under the old O(boxes^2) pass.
+    tasks = enumerate_tasks(128, 128, 4, 4, SvdForm.TRIANGULAR_BAND)
+    tracemalloc.start()
+    try:
+        dag = build_dag(tasks, 128, 128, 4, 4, SvdForm.TRIANGULAR_BAND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dag.edges) > 150_000
+    assert peak < 60e6, f"build_dag peak {peak / 1e6:.1f} MB"

@@ -10,7 +10,6 @@ from bandred import (
     Span,
     Task,
     WriteOverlapError,
-    barrier,
     matmul,
     run_phase,
 )
@@ -200,15 +199,6 @@ def test_workers_reach_task_bodies():
         outs.append(C)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
-
-
-def test_barrier_joins_groups():
-    with ExecGroups(2, 1) as groups:
-        barrier(groups)  # nothing in flight: returns promptly
-        arr = np.zeros((2, 2), order="F")
-        run_phase(PhasePlan([], [_scale_task(arr, 0, 2, 1.0, "x")]), groups)
-        barrier(groups)
-        assert np.array_equal(arr, np.ones((2, 2)))
 
 
 def test_exec_groups_validation():

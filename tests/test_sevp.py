@@ -10,6 +10,7 @@ from bandred import (
     SevpVariant,
     V2Mapping,
     band_check,
+    gen_sym,
     jacobi_eigen,
     orth_residual,
     reduce_sym_band,
@@ -255,3 +256,17 @@ def test_non_finite_upper_triangle_is_never_read():
     poisoned[3, 17] = np.nan
     want = reduce_sym_band(A, _cfg(24, 4, 2)).band
     assert np.array_equal(reduce_sym_band(poisoned, _cfg(24, 4, 2)).band, want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_extreme_scales_keep_eigenvalues(scale):
+    # Householder norms must neither underflow nor overflow: the band of
+    # s*A, divided by s, has the eigenvalues of A to rounding.
+    A = gen_sym(128, 0)
+    band = reduce_sym_band(A * scale, _cfg(128, 16, 8)).band
+    assert np.isfinite(band).all()
+    assert band_check(band, 16, 16) == 0.0
+    want = np.linalg.eigvalsh(A)
+    got = np.linalg.eigvalsh(band / scale)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -10,6 +10,7 @@ from bandred import (
     SvdVariant,
     V2Mapping,
     band_check,
+    gen_general,
     jacobi_svd,
     lq_panel,
     qr_panel,
@@ -329,3 +330,20 @@ def test_non_finite_input_is_rejected(bad, shape):
         reduce_band_svd(A, _cfg(*shape, 4, 2))
     with pytest.raises(ValueError, match="NaN or Inf"):
         reduce_tri_band(A, 4, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_extreme_scales_keep_singular_values(scale):
+    # Householder norms must neither underflow nor overflow: both forms of
+    # s*A, divided by s, have the singular values of A to rounding.
+    A = gen_general(96, 64, 0)
+    want = np.linalg.svd(A, compute_uv=False)
+    tri = reduce_tri_band(A * scale, 8, 4).band
+    bnd = reduce_band_svd(A * scale, _cfg(96, 64, 8, 4)).band
+    assert band_check(tri, 0, 8) == 0.0
+    assert band_check(bnd, 8, 8) == 0.0
+    for band in (tri, bnd):
+        assert np.isfinite(band).all()
+        got = np.linalg.svd(band / scale, compute_uv=False)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
