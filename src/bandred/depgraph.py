@@ -8,13 +8,22 @@ built from range intersections in program order, and a static analysis
 of that DAG answers which look-ahead overlaps are legal for a given
 bandwidth/block-size ratio ``w/b``.
 
-``build_dag`` works on task-level hazard matrices: the rectangle tests
-between every pair of boxes are reduced, one fixed block of source boxes
-at a time, into ``T x T`` boolean matrices (one write/read matrix that
-yields RAW and WAR, one write/write matrix for WAW), and the edge list
-is read off their strict upper triangle.  Peak memory is therefore
-O(``ROW_BLOCK`` * boxes + T^2) and no per-pair Python object exists
-before the output list itself.
+``build_dag`` works on task-level hazard matrices.  The boxes of one
+role (reads or writes) are held as four contiguous int32 coordinate
+columns per slot, slot ``p`` holding the ``p``-th box of every task, so
+a block of ``ROW_BLOCK`` source tasks is tested against the tasks from
+the block on with one comparison and three in-place ``&=`` per slot
+pair, and the hits are OR-ed straight into the task rows.  This yields three
+strictly upper ``T x T`` boolean matrices (RAW, WAR, WAW), and the edge
+list is read off their union.  Peak memory is O(``ROW_BLOCK`` * T + T^2)
+and no per-pair Python object exists before the output list itself.
+
+``analyze_overlap`` relies on the order of that list: an essential path
+into a task can only pass through earlier tasks, so each reachability
+query scans only the out-edge slices of tasks below its target, found
+by bisection in the sorted edges, and stops each slice at the target.
+The search checks the order of every slice it scans and raises
+``ValueError`` where it finds it broken.
 
 Two granularities of truth live here:
 
@@ -34,13 +43,14 @@ the instrumented range logs produced by ``reduce_band_svd`` with
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .svd import SvdForm
+from .svd import SvdForm, _grid_blocks
 
 __all__ = [
     "TaskKind",
@@ -66,15 +76,25 @@ class TaskKind(Enum):
     RIGHT_UPDATE = "right_update"
 
 
-# Side of each task kind for essential_adjacency: 0 for a panel, 1 and 2
-# for the two update sides, whose mutual edges commute.
+# Side of each task kind: 0 for a panel, 1 and 2 for the two update
+# sides.  _COMMUTES[a][c] is True when an edge from side a to side c
+# joins the two different update sides, so it commutes and is not
+# essential (see essential_adjacency).
 _SIDE = {TaskKind.QR_PANEL: 0, TaskKind.LQ_PANEL: 0,
          TaskKind.LEFT_UPDATE: 1, TaskKind.RIGHT_UPDATE: 2}
+_COMMUTES = tuple(tuple(a != 0 and c != 0 and a != c for c in range(3))
+                  for a in range(3))
 # Hazard labels by priority code, as Python str objects for the edge list.
 _CAUSES = np.array(("RAW", "WAR", "WAW"), dtype=object)
-# Source boxes per broadcast block in build_dag: bounds its box-level
-# temporaries at ROW_BLOCK x boxes booleans.
+# Source tasks per broadcast block in build_dag: bounds its box-level
+# temporaries at ROW_BLOCK x T booleans.
 ROW_BLOCK = 256
+_UNSORTED = "dag.edges must be sorted by (src, dst) with src < dst"
+# Padding for a task with fewer boxes than its role has slots: a0 < b1
+# fails whether the padding is the source or the destination box, so it
+# meets nothing.
+_NO_BOX = np.array([[np.iinfo(np.int32).max], [np.iinfo(np.int32).min]] * 2,
+                   dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -104,9 +124,13 @@ class TaskDag:
     """Tasks in program order plus one typed edge per dependent pair.
 
     ``edges`` holds ``(src, dst, cause)`` index triples with
-    ``src < dst``, so the graph is acyclic by construction.  When a pair
-    is related through several hazard classes only the strongest cause
-    is recorded (RAW over WAR over WAW).
+    ``src < dst``, so the graph is acyclic by construction, sorted by
+    ``(src, dst)``: the out-edges of a task are one contiguous slice in
+    ascending ``dst`` order.  ``analyze_overlap`` relies on both
+    properties, which ``build_dag`` guarantees, and raises
+    ``ValueError`` where its search finds them broken.  When a pair is related
+    through several hazard classes only the strongest cause is recorded
+    (RAW over WAR over WAW).
     """
 
     nodes: list[TaskNode]
@@ -142,18 +166,6 @@ class OverlapReport:
     b: int
     form: SvdForm
     steady_iterations: list[int] = field(default_factory=list)
-
-
-def _grid_blocks(c0: int, c1: int, b: int) -> list[tuple[int, int, int]]:
-    # Split [c0, c1) at global multiples of b; same rule as the
-    # instrumented reduction, so ranges stay comparable.
-    out = []
-    g = c0
-    while g < c1:
-        nxt = min(c1, (g // b + 1) * b)
-        out.append((g // b, g, nxt))
-        g = nxt
-    return out
 
 
 def _panel_node(kind: TaskKind, it: int, rows: tuple[int, int],
@@ -230,34 +242,45 @@ def enumerate_tasks(m: int, n: int, w: int, b: int, form: SvdForm,
     return tasks
 
 
-def _ranges_to_array(tasks: Sequence[TaskNode], attr: str) -> tuple[np.ndarray, np.ndarray]:
-    # Flatten the per-task range tuples into one (r0, r1, c0, c1) array
-    # plus the owning task index, for vectorized intersection tests.
-    owner = []
-    boxes = []
-    for i, t in enumerate(tasks):
-        for (r0, r1), (c0, c1) in getattr(t, attr):
-            owner.append(i)
-            boxes.append((r0, r1, c0, c1))
-    if not boxes:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64)
-    return np.asarray(owner, dtype=np.int64), np.asarray(boxes, dtype=np.int64)
+def _ranges_to_array(tasks: Sequence[TaskNode], attr: str) -> np.ndarray:
+    # Boxes of one role as a (slots, 4, T) int32 array: slot p, row k is
+    # coordinate k of (r0, r1, c0, c1) of the p-th box of every task,
+    # padded with _NO_BOX.  Coordinates outside int32 raise OverflowError.
+    flat = [(p, i, r0, r1, c0, c1)
+            for i, t in enumerate(tasks)
+            for p, ((r0, r1), (c0, c1)) in enumerate(getattr(t, attr))]
+    at = np.array(flat, dtype=np.int64).reshape(-1, 6)
+    if len(at) and (at.min() < _NO_BOX.min() or at.max() > _NO_BOX.max()):
+        raise OverflowError(f"task {attr} coordinates must fit in int32")
+    at = at.astype(np.int32)
+    slots = int(at[:, 0].max()) + 1 if len(at) else 0
+    boxes = np.empty((slots, 4, len(tasks)), dtype=np.int32)
+    boxes[:] = _NO_BOX
+    boxes[at[:, 0], :, at[:, 1]] = at[:, 2:]
+    return boxes
 
 
-def _meets(owner_a: np.ndarray, box_a: np.ndarray, owner_b: np.ndarray,
-           box_b: np.ndarray, n_tasks: int) -> np.ndarray:
-    # T x T task matrix, True at (i, j) when some box of i (role A)
-    # intersects some box of j (role B), in both triangles.  Source boxes
-    # go through the broadcast ROW_BLOCK at a time, so the box-level
-    # temporaries stay O(ROW_BLOCK * boxes) whatever the task count.
+def _meets(src: np.ndarray, dst: np.ndarray, n_tasks: int) -> np.ndarray:
+    # T x T task matrix, True at (i, j) with i < j when some box of i in
+    # src meets some box of j in dst; the lower triangle stays False.
+    # Each slot holds at most one box per task, so the hits of a slot
+    # pair are already task-level and OR straight into the block's rows.
+    # ROW_BLOCK source tasks go through the broadcast at a time against
+    # every task from the block's first on, so the box-level temporaries
+    # stay O(ROW_BLOCK * T) whatever the task count.
     hit_tasks = np.zeros((n_tasks, n_tasks), dtype=bool)
-    bx = box_b[None, :, :]
-    for s in range(0, len(owner_a), ROW_BLOCK):
-        a = box_a[s:s + ROW_BLOCK, None, :]
-        hit = ((a[..., 0] < bx[..., 1]) & (bx[..., 0] < a[..., 1]) &
-               (a[..., 2] < bx[..., 3]) & (bx[..., 2] < a[..., 3]))
-        ia, ib = np.nonzero(hit)
-        hit_tasks[owner_a[s + ia], owner_b[ib]] = True
+    above = ~np.tri(ROW_BLOCK, dtype=bool)
+    for s in range(0, n_tasks, ROW_BLOCK):
+        e = min(s + ROW_BLOCK, n_tasks)
+        rows = hit_tasks[s:e, s:]
+        for a0, a1, a2, a3 in src[:, :, s:e, None]:
+            for b0, b1, b2, b3 in dst[:, :, s:]:
+                hit = a0 < b1
+                hit &= b0 < a1
+                hit &= a2 < b3
+                hit &= b2 < a3
+                rows |= hit
+        rows[:, :e - s] &= above[:e - s, :e - s]
     return hit_tasks
 
 
@@ -265,30 +288,33 @@ def build_dag(tasks: Sequence[TaskNode], m: int, n: int, w: int, b: int,
               form: SvdForm) -> TaskDag:
     """Build the dependency DAG over ``tasks`` in program order.
 
-    Each hazard class becomes one ``T x T`` boolean task matrix, of
-    which only the strict upper triangle (``i < j``) is kept: RAW marks
-    ``(i, j)`` when a write of ``i`` meets a read of ``j``, WAR when a
-    read of ``i`` meets a write of ``j``, WAW when two writes meet.  The
-    rectangle tests run over ``ROW_BLOCK`` source boxes at a time, so
-    peak memory is O(``ROW_BLOCK`` * boxes + T^2) rather than
-    O(boxes^2).  Edges come out of the union in row-major order, i.e.
-    sorted by ``(src, dst)``, labelled read-after-write over
+    Each hazard class becomes one strictly upper ``T x T`` boolean task
+    matrix: RAW marks ``(i, j)``, ``i < j``, when a write of ``i`` meets
+    a read of ``j``, WAR when a read of ``i`` meets a write of ``j``,
+    WAW when two writes meet.  The rectangle tests run over ``ROW_BLOCK``
+    source tasks at a time against the tasks after them, so peak memory
+    is O(``ROW_BLOCK`` * T + T^2) rather than O(boxes^2); the work grows
+    with the largest box count of a task in each role, which is 1 or 2
+    for enumerated tasks.  Edges come out of the union in row-major
+    order, i.e. sorted by ``(src, dst)``, labelled read-after-write over
     write-after-read over write-after-write when a pair qualifies under
     more than one.
     """
     n_tasks = len(tasks)
-    rd_own, rd_box = _ranges_to_array(tasks, "reads")
-    wr_own, wr_box = _ranges_to_array(tasks, "writes")
-    # A read of i meeting a write of j is a write of j meeting a read of
-    # i, so one write/read matrix gives RAW (upper) and WAR (transposed).
-    write_read = _meets(wr_own, wr_box, rd_own, rd_box, n_tasks)
-    raw = np.triu(write_read, 1)
-    war = np.triu(write_read.T, 1)
-    waw = np.triu(_meets(wr_own, wr_box, wr_own, wr_box, n_tasks), 1)
-    src, dst = np.nonzero(raw | war | waw)
-    code = np.where(raw[src, dst], 0, np.where(war[src, dst], 1, 2))
-    causes = _CAUSES[code].tolist()
-    edges = list(zip(src.tolist(), dst.tolist(), causes))
+    reads = _ranges_to_array(tasks, "reads")
+    writes = _ranges_to_array(tasks, "writes")
+    raw = _meets(writes, reads, n_tasks)
+    war = _meets(reads, writes, n_tasks)
+    waw = _meets(writes, writes, n_tasks)
+    dep = raw | war
+    dep |= waw
+    flat = np.flatnonzero(dep)
+    src, dst = np.divmod(flat, n_tasks)
+    code = np.where(raw.ravel()[flat], 0, np.where(war.ravel()[flat], 1, 2))
+    # One Python int per task, shared by all of its edges.
+    index = np.arange(n_tasks).astype(object)
+    edges = list(zip(index[src].tolist(), index[dst].tolist(),
+                     _CAUSES[code].tolist()))
     return TaskDag(list(tasks), edges, m, n, w, b, form)
 
 
@@ -305,27 +331,48 @@ def essential_adjacency(dag: TaskDag) -> list[list[int]]:
     side = [_SIDE[nd.kind] for nd in dag.nodes]
     adj: list[list[int]] = [[] for _ in dag.nodes]
     for src, dst, _cause in dag.edges:
-        ss, sd = side[src], side[dst]
-        if ss and sd and ss != sd:
-            continue
-        adj[src].append(dst)
+        if not _COMMUTES[side[src]][side[dst]]:
+            adj[src].append(dst)
     return adj
 
 
-def _reaches(adj: list[list[int]], sources: Iterable[int], target: int) -> bool:
-    seen = [False] * len(adj)
-    stack = [s for s in sources if s != target]
+def _reaches(edges: Sequence[tuple[int, int, str]], side: Sequence[int],
+             sources: Sequence[int], target: int) -> bool:
+    # Whether an essential path (the edges essential_adjacency keeps)
+    # leads from a source to target.  edges must be sorted by (src, dst)
+    # with src < dst, so only nodes below target can lie on such a path:
+    # a node's out-edges are found by bisection and scanned up to target.
+    # Each scanned slice checks the order it relies on and raises
+    # ValueError where it finds it broken.
     if target in sources:
         return True
-    for s in stack:
-        seen[s] = True
+    stack = [s for s in sources if s < target]
+    seen = set(stack)
+    n_edges = len(edges)
     while stack:
         u = stack.pop()
-        for v in adj[u]:
+        commutes = _COMMUTES[side[u]]
+        k = bisect_left(edges, (u,))
+        if k and edges[k - 1][0] >= u:
+            raise ValueError(_UNSORTED)
+        last = u
+        for k in range(k, n_edges):
+            s, v, _cause = edges[k]
+            if s != u:
+                if s < u:
+                    raise ValueError(_UNSORTED)
+                break
+            if v <= last:
+                raise ValueError(_UNSORTED)
+            if v > target:
+                break
+            last = v
+            if commutes[side[v]]:
+                continue
             if v == target:
                 return True
-            if not seen[v]:
-                seen[v] = True
+            if v not in seen:
+                seen.add(v)
                 stack.append(v)
     return False
 
@@ -352,6 +399,10 @@ def analyze_overlap(dag: TaskDag, w: int, b: int, form: SvdForm) -> OverlapRepor
     tail ``t+1``, each tail must outlive the other and the demands
     cycle; both overlaps are then mutually exclusive even though each
     is feasible on its own.
+
+    ``dag.edges`` must be sorted by ``(src, dst)`` with ``src < dst``,
+    as ``build_dag`` returns them; a broken order met in the search
+    raises ``ValueError``.
     """
     if w % b != 0:
         raise ValueError("overlap analysis requires w to be a multiple of b")
@@ -397,14 +448,18 @@ def analyze_overlap(dag: TaskDag, w: int, b: int, form: SvdForm) -> OverlapRepor
         raise ValueError("no steady-state iteration in the DAG; "
                          "enumerate more iterations or shrink w")
 
-    adj = essential_adjacency(dag)
-    left = all(not _reaches(adj, tail(t, "left"), by_iter[t + 1]["qr"])
+    side = [_SIDE[nd.kind] for nd in nodes]
+
+    def reaches(sources: list[int], target: int) -> bool:
+        return _reaches(dag.edges, side, sources, target)
+
+    left = all(not reaches(tail(t, "left"), by_iter[t + 1]["qr"])
                for t in steady)
-    right = all(not _reaches(adj, tail(t, "right"), by_iter[t + 1]["lq"])
+    right = all(not reaches(tail(t, "right"), by_iter[t + 1]["lq"])
                 for t in steady)
     interlock = any(
-        _reaches(adj, tail(t + 1, "left"), by_iter[t + 1]["lq"])
-        and _reaches(adj, tail(t, "right"), by_iter[t + 2]["qr"])
+        reaches(tail(t + 1, "left"), by_iter[t + 1]["lq"])
+        and reaches(tail(t, "right"), by_iter[t + 2]["qr"])
         for t in steady)
     return OverlapReport(left, right, left and right and not interlock,
                          w, b, form, steady)

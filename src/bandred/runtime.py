@@ -7,10 +7,15 @@ a phase whose two lists' declared writes intersect is rejected before any
 task runs. Within a list, overlap is legal -- tasks there run in order and
 may build on each other.
 
+Every submission to a pool runs in a copy of the submitter's context, so
+context variables such as the open flop scopes (bandred.flops) reach the
+pool threads that run a reduction's tasks.
+
 Logical time is a monotonic counter, not wall clock, so trace assertions
 (task A finished before task B started) are reproducible.
 """
 
+import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,6 +105,12 @@ class EventTrace:
                 f.write(f"{task_id}\t{group}\t{start}\t{end}\n")
 
 
+def _submit(pool, fn, *args):
+    # Run fn in a copy of the caller's context: one copy per submission,
+    # since a context cannot be entered by two threads at once.
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
 class Workers:
     """Data-parallel map over one group's pool.
 
@@ -124,7 +135,7 @@ class Workers:
             return
         bounds = [(len(items) * q) // c for q in range(c + 1)]
         chunks = [items[bounds[q] : bounds[q + 1]] for q in range(c)]
-        futures = [self.pool.submit(self._run_chunk, fn, ch) for ch in chunks[1:]]
+        futures = [_submit(self.pool, self._run_chunk, fn, ch) for ch in chunks[1:]]
         self._run_chunk(fn, chunks[0])
         for fut in futures:
             fut.result()
@@ -215,7 +226,7 @@ def run_phase(plan, groups):
             _run_list(plan.seq_tasks, w, "seq", trace)
             _run_list(plan.par_tasks, w, "par", trace)
 
-        groups._all.submit(run_all).result()
+        _submit(groups._all, run_all).result()
     elif groups.tp_count == 0:
         w = Workers(groups._seq, groups.ts_count)
 
@@ -223,12 +234,12 @@ def run_phase(plan, groups):
             _run_list(plan.seq_tasks, w, "seq", trace)
             _run_list(plan.par_tasks, w, "par", trace)
 
-        groups._seq.submit(run_both).result()
+        _submit(groups._seq, run_both).result()
     else:
         ws = Workers(groups._seq, groups.ts_count)
         wp = Workers(groups._par, groups.tp_count)
-        fs = groups._seq.submit(_run_list, plan.seq_tasks, ws, "seq", trace)
-        fp = groups._par.submit(_run_list, plan.par_tasks, wp, "par", trace)
+        fs = _submit(groups._seq, _run_list, plan.seq_tasks, ws, "seq", trace)
+        fp = _submit(groups._par, _run_list, plan.par_tasks, wp, "par", trace)
         err = None
         for fut in (fs, fp):
             try:

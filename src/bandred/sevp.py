@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .flops import FLOPS
+from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
 from .runtime import ExecGroups, PhasePlan, Span, Task, run_phase
 
@@ -303,7 +303,6 @@ def reduce_sym_band(A, cfg, groups=None):
         raise ValueError("reduce_sym_band: the lower triangle holds NaN or Inf")
 
     ks = _schedule(cfg.n, cfg.w, cfg.b)
-    before = FLOPS.snapshot()
     if not ks:
         return SevpResult(band=A, q=None, flops={"total": 0}, iterations=0)
 
@@ -312,16 +311,16 @@ def reduce_sym_band(A, cfg, groups=None):
         groups = ExecGroups(1, 0)
     state = _State(A, cfg)
     try:
-        if cfg.variant == SevpVariant.REFERENCE:
-            _run_reference(state, cfg, groups, ks)
-        elif cfg.variant == SevpVariant.V1:
-            _run_v1(state, cfg, groups, ks)
-        else:
-            _run_v2(state, cfg, groups, ks)
+        with flop_scope() as counted:
+            if cfg.variant == SevpVariant.REFERENCE:
+                _run_reference(state, cfg, groups, ks)
+            elif cfg.variant == SevpVariant.V1:
+                _run_v1(state, cfg, groups, ks)
+            else:
+                _run_v2(state, cfg, groups, ks)
     finally:
         if own:
             groups.close()
-    after = FLOPS.snapshot()
-    flops = {key: after.get(key, 0) - before.get(key, 0) for key in after}
+    flops = counted.snapshot()
     band = _finalize(state.A, cfg.n, cfg.w)
     return SevpResult(band=band, q=state.Q, flops=flops, iterations=len(ks))

@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .flops import FLOPS
+from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
 from .runtime import ExecGroups, PhasePlan, Span, Task, run_phase
 from .sevp import V2Mapping
@@ -233,10 +233,9 @@ def reduce_tri_band(A, w, b, groups=None, range_log=None, inner_b=16):
             upper_bw=0,
             iterations=inner.iterations,
         )
-    before = FLOPS.snapshot()
-    iters = _reduce_tri_core(A, w, b, inner_b, range_log)
-    after = FLOPS.snapshot()
-    flops = {key: after.get(key, 0) - before.get(key, 0) for key in after}
+    with flop_scope() as counted:
+        iters = _reduce_tri_core(A, w, b, inner_b, range_log)
+    flops = counted.snapshot()
     i = np.arange(m)[:, None]
     jj = np.arange(n)[None, :]
     A[(i > jj) | (jj > i + w)] = 0.0
@@ -565,18 +564,17 @@ def reduce_band_svd(A, cfg, groups=None, range_log=None):
             raise ValueError("range logging requires w to be a multiple of b")
 
     ks = _band_schedule(cfg.m, cfg.n, cfg.w, cfg.b)
-    before = FLOPS.snapshot()
     if not ks:
         return SvdResult(A, {"total": 0}, SvdForm.BAND, cfg.w, cfg.w, 0)
     state = _BandState(A, cfg)
-    if range_log is not None:
-        _run_band_instrumented(state, ks, range_log)
-    else:
-        own = groups is None
-        if own:
-            groups = ExecGroups(1, 0)
-        try:
-            if cfg.variant == SvdVariant.REFERENCE:
+    own = range_log is None and groups is None
+    if own:
+        groups = ExecGroups(1, 0)
+    try:
+        with flop_scope() as counted:
+            if range_log is not None:
+                _run_band_instrumented(state, ks, range_log)
+            elif cfg.variant == SvdVariant.REFERENCE:
                 _run_band_reference(state, groups, ks)
             elif cfg.variant == SvdVariant.SIMULTANEOUS:
                 _run_band_simultaneous(state, groups, ks)
@@ -584,11 +582,10 @@ def reduce_band_svd(A, cfg, groups=None, range_log=None):
                 _run_band_v1(state, groups, ks)
             else:
                 _run_band_v2(state, cfg, groups, ks)
-        finally:
-            if own:
-                groups.close()
-    after = FLOPS.snapshot()
-    flops = {key: after.get(key, 0) - before.get(key, 0) for key in after}
+    finally:
+        if own:
+            groups.close()
+    flops = counted.snapshot()
     i = np.arange(cfg.m)[:, None]
     jj = np.arange(cfg.n)[None, :]
     A[np.abs(i - jj) > cfg.w] = 0.0

@@ -358,9 +358,7 @@ def test_build_dag_matches_pairwise_oracle(tasks, row_block):
     assert essential_adjacency(dag) == _loop_essential_adjacency(dag)
 
 
-def test_build_dag_matches_oracle_across_the_real_row_block():
-    # More boxes than ROW_BLOCK per role, with single tasks whose boxes
-    # straddle a block boundary, at the module's own block size.
+def _random_box_tasks(n_tasks, read_cap, write_cap):
     rng = np.random.default_rng(3)
 
     def boxes(k):
@@ -372,15 +370,32 @@ def test_build_dag_matches_oracle_across_the_real_row_block():
         return tuple(out)
 
     kinds = list(TaskKind)
-    tasks = [TaskNode(kinds[i % 4], i, i, boxes(int(rng.integers(0, 30))),
-                      boxes(int(rng.integers(0, 20))))
-             for i in range(40)]
-    n_writes = sum(len(t.writes) for t in tasks)
-    assert n_writes > depgraph.ROW_BLOCK
+    return [TaskNode(kinds[i % 4], i, i, boxes(int(rng.integers(0, read_cap))),
+                     boxes(int(rng.integers(0, write_cap))))
+            for i in range(n_tasks)]
+
+
+def _assert_matches_oracle_at_real_row_block(tasks):
     dag = build_dag(tasks, 40, 40, 2, 2, SvdForm.BAND)
     _assert_edges_exact(dag.edges, _pairwise_edges(tasks))
     assert {c for _, _, c in dag.edges} == {"RAW", "WAR", "WAW"}
     assert essential_adjacency(dag) == _loop_essential_adjacency(dag)
+
+
+def test_build_dag_matches_oracle_across_the_real_row_block():
+    # Up to 29 reads and 19 writes per task, far more box slots than the
+    # one or two of enumerated tasks, and more write boxes than ROW_BLOCK.
+    tasks = _random_box_tasks(40, 30, 20)
+    assert sum(len(t.writes) for t in tasks) > depgraph.ROW_BLOCK
+    assert max(len(t.reads) for t in tasks) > 20
+    _assert_matches_oracle_at_real_row_block(tasks)
+
+
+def test_build_dag_matches_oracle_past_the_real_row_block_in_tasks():
+    # More tasks than ROW_BLOCK, so source blocks end inside the list.
+    tasks = _random_box_tasks(300, 6, 4)
+    assert len(tasks) > depgraph.ROW_BLOCK
+    _assert_matches_oracle_at_real_row_block(tasks)
 
 
 @pytest.mark.parametrize("form", list(SvdForm))
@@ -393,7 +408,7 @@ def test_build_dag_matches_oracle_on_enumerated_tasks(form, w):
 
 
 def test_build_dag_peak_memory_stays_bounded():
-    # O(ROW_BLOCK * boxes + T^2) working memory plus the edge list: about
+    # O(ROW_BLOCK * T + T^2) working memory plus the edge list: about
     # 1,050 tasks and 200k edges here, well under the old O(boxes^2) pass.
     tasks = enumerate_tasks(128, 128, 4, 4, SvdForm.TRIANGULAR_BAND)
     tracemalloc.start()
@@ -404,3 +419,114 @@ def test_build_dag_peak_memory_stays_bounded():
         tracemalloc.stop()
     assert len(dag.edges) > 150_000
     assert peak < 60e6, f"build_dag peak {peak / 1e6:.1f} MB"
+
+
+def test_build_dag_rejects_coordinates_outside_int32():
+    # The rectangle tests run on int32 columns; a coordinate that does
+    # not fit must raise, not wrap.
+    big = ((0, 2**31), (0, 2))
+    node = TaskNode(TaskKind.QR_PANEL, 0, None, (big,), (big,))
+    with pytest.raises(OverflowError):
+        build_dag([node], 2**31, 2, 2, 2, SvdForm.BAND)
+
+
+# --- analyze_overlap's bounded search against whole-graph DFS ---------------
+
+
+def _oracle_overlap(dag, w, b):
+    """analyze_overlap's flags and steady iterations, with every query a
+    whole-graph DFS over the full essential adjacency."""
+    r = w // b
+    adj = essential_adjacency(dag)
+    where = {}
+    for i, nd in enumerate(dag.nodes):
+        where.setdefault((nd.kind, nd.iteration), []).append(i)
+
+    def panel(kind, t):
+        return where.get((kind, t), [None])[0]
+
+    def tail(kind, t):
+        return [i for i in where.get((kind, t), []) if dag.nodes[i].block >= t + r]
+
+    def full(t):
+        (_, (c0, c1)), = dag.nodes[panel(TaskKind.QR_PANEL, t)].writes
+        return c1 - c0 == b
+
+    def reaches(sources, target):
+        return _reaches_any(adj, sources, [target])
+
+    left_k, right_k = TaskKind.LEFT_UPDATE, TaskKind.RIGHT_UPDATE
+    qr, lq = TaskKind.QR_PANEL, TaskKind.LQ_PANEL
+    iters = 1 + max(nd.iteration for nd in dag.nodes)
+    steady = [t for t in range(iters - 2)
+              if all(full(t + d) and panel(lq, t + d) is not None for d in (0, 1, 2))
+              and tail(left_k, t) and tail(right_k, t) and tail(left_k, t + 1)]
+    left = all(not reaches(tail(left_k, t), panel(qr, t + 1)) for t in steady)
+    right = all(not reaches(tail(right_k, t), panel(lq, t + 1)) for t in steady)
+    interlock = any(reaches(tail(left_k, t + 1), panel(lq, t + 1))
+                    and reaches(tail(right_k, t), panel(qr, t + 2)) for t in steady)
+    return left, right, left and right and not interlock, steady
+
+
+@pytest.mark.parametrize("m,n,b", [(128, 128, 4), (64, 64, 4), (48, 40, 2), (40, 52, 4)])
+@pytest.mark.parametrize("form", list(SvdForm))
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_analyze_overlap_matches_whole_graph_search(m, n, b, form, r):
+    w = r * b
+    dag = _dag(m, n, w, b, form)
+    rep = analyze_overlap(dag, w, b, form)
+    got = (rep.left_feasible, rep.right_feasible, rep.both_feasible, rep.steady_iterations)
+    assert got == _oracle_overlap(dag, w, b)
+    assert rep.steady_iterations
+
+
+def _forward_dag(kinds, pairs, causes):
+    nodes = [TaskNode(kind, i, None, (), ()) for i, kind in enumerate(kinds)]
+    edges = [(s, d, c) for (s, d), c in zip(sorted(pairs), causes)]
+    return depgraph.TaskDag(nodes, edges, 1, 1, 1, 1, SvdForm.BAND)
+
+
+@st.composite
+def _reach_queries(draw):
+    # A forward DAG with sorted edges, random task kinds (so some edges
+    # join opposite update sides and are not essential), and a query
+    # whose sources may hold the target, lie past it or be empty.
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    kinds = draw(st.lists(st.sampled_from(list(TaskKind)), min_size=n, max_size=n))
+    ends = draw(st.lists(st.tuples(node, node), max_size=80))
+    pairs = {(min(a, c), max(a, c)) for a, c in ends if a != c}
+    causes = draw(st.lists(st.sampled_from(["RAW", "WAR", "WAW"]),
+                           min_size=len(pairs), max_size=len(pairs)))
+    sources = draw(st.lists(node, max_size=5))
+    return _forward_dag(kinds, pairs, causes), sources, draw(node)
+
+
+_L, _R, _Q = TaskKind.LEFT_UPDATE, TaskKind.RIGHT_UPDATE, TaskKind.QR_PANEL
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_reach_queries())
+@example(query=(_forward_dag([_L, _R], {(0, 1)}, ["RAW"]), [1], 1))  # target in sources
+@example(query=(_forward_dag([_L, _L, _L], {(0, 1), (1, 2)}, ["RAW"] * 2), [2], 1))  # past it
+@example(query=(_forward_dag([_L, _L], {(0, 1)}, ["RAW"]), [], 1))  # no sources
+@example(query=(_forward_dag([_L, _R, _R], {(0, 1), (1, 2)}, ["RAW"] * 2), [0], 2))  # commutes
+@example(query=(_forward_dag([_L, _Q, _R], {(0, 1), (1, 2)}, ["WAR"] * 2), [0], 2))  # via a panel
+def test_bounded_reach_matches_whole_graph_dfs(query):
+    dag, sources, target = query
+    side = [depgraph._SIDE[nd.kind] for nd in dag.nodes]
+    want = _reaches_any(essential_adjacency(dag), sources, [target])
+    assert depgraph._reaches(dag.edges, side, sources, target) == want
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 2, "RAW"), (0, 1, "RAW"), (1, 3, "RAW")],  # dst descending in a slice
+    [(0, 1, "RAW"), (1, 2, "RAW"), (0, 2, "RAW")],  # src out of order
+    [(0, 1, "RAW"), (1, 1, "RAW"), (1, 2, "RAW")],  # src == dst
+])
+def test_bounded_reach_rejects_unsorted_edges_it_scans(edges):
+    # The search checks the order of every slice prefix it scans; an
+    # out-of-order part it never reaches is not detected.
+    side = [depgraph._SIDE[_L]] * 4
+    with pytest.raises(ValueError, match="sorted"):
+        depgraph._reaches(edges, side, [0], 3)

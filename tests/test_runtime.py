@@ -1,18 +1,32 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from bandred import (
+    FLOPS,
     EventTrace,
     ExecGroups,
     PhasePlan,
+    SevpConfig,
+    SevpVariant,
     Span,
+    SvdConfig,
+    SvdForm,
     Task,
     WriteOverlapError,
+    gen_general,
+    gen_sym,
     matmul,
+    reduce_band_svd,
+    reduce_sym_band,
+    reduce_tri_band,
     run_phase,
 )
+from bandred.flops import flop_scope
 
 
 def _scale_task(arr, c0, c1, factor, tid):
@@ -208,3 +222,67 @@ def test_exec_groups_validation():
         ExecGroups(2, 3)
     with pytest.raises(ValueError):
         ExecGroups(1, -1)
+
+
+# --- per-reduction flop scopes ----------------------------------------------
+
+
+def _sevp_ref():
+    return reduce_sym_band(gen_sym(128, 1), SevpConfig(128, 16, 8)).flops
+
+
+def _sevp_v1():
+    cfg = SevpConfig(96, 16, 8, variant=SevpVariant.V1)
+    with ExecGroups(3, 1) as groups:
+        return reduce_sym_band(gen_sym(96, 2), cfg, groups).flops
+
+
+def _svd_band():
+    cfg = SvdConfig(m=96, n=64, w=8, b=4, form=SvdForm.BAND)
+    return reduce_band_svd(gen_general(96, 64, 3), cfg).flops
+
+
+def _svd_wide_tri():
+    return reduce_tri_band(gen_general(48, 80, 4), 8, 4).flops
+
+
+def test_concurrent_reductions_each_count_their_own_flops():
+    """Reductions on concurrent threads, one of them on a two-group pool
+    whose tasks and Workers.map chunks run on pool threads, each report
+    the flops they report alone; FLOPS still counts them all."""
+    runs = [_sevp_ref, _sevp_ref, _sevp_v1, _svd_band, _svd_wide_tri]
+    solo = {fn: fn() for fn in set(runs)}
+    assert all(f["total"] > 0 for f in solo.values())
+    got = [None] * len(runs)
+    start = threading.Barrier(len(runs))
+
+    def worker(i):
+        start.wait(timeout=30)
+        got[i] = runs[i]()
+
+    before = FLOPS.total
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(runs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [solo[fn] for fn in runs]
+    assert FLOPS.total - before == sum(f["total"] for f in got)
+
+
+def test_flop_scope_counts_only_while_open():
+    A = np.asfortranarray(np.ones((4, 3)))
+    B = np.asfortranarray(np.ones((3, 2)))
+    C = np.zeros((4, 2), order="F")
+    before = FLOPS.total
+    with flop_scope() as scope:
+        matmul(1.0, A, B, 0.0, C)
+    matmul(1.0, A, B, 0.0, C)
+    assert scope.snapshot() == {"matmul": 48, "house": 0, "syr2k": 0, "total": 48}
+    assert FLOPS.total - before == 96
