@@ -30,7 +30,6 @@ from .kernels import (
     lq_panel,
     matmul,
     qr_panel,
-    sym_two_sided_update,
 )
 from .runtime import (
     EventTrace,
@@ -91,7 +90,6 @@ __all__ = [
     "build_w",
     "apply_wy_left",
     "apply_wy_right",
-    "sym_two_sided_update",
     "matmul",
     "ExecGroups",
     "PhasePlan",

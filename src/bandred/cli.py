@@ -18,7 +18,7 @@ import numpy as np
 
 from .depgraph import analyze_overlap, build_dag, enumerate_tasks, to_dot
 from .oracles import band_check, jacobi_eigen, jacobi_svd, spectra_match
-from .runtime import ExecGroups
+from .runtime import EventTrace, ExecGroups
 from .sevp import SevpConfig, SevpVariant, reduce_sym_band, sevp_nominal_flops
 from .svd import SvdConfig, SvdForm, SvdVariant, reduce_band_svd, svd_nominal_flops
 
@@ -240,6 +240,7 @@ def _run_bench(args, parser) -> int:
                else svd_nominal_flops(max(m, n), min(m, n)))
     failed = False
     best_row, best_gf = None, -1.0
+    sweep_trace = EventTrace()  # each reduction restarts groups.trace
     with ExecGroups(args.threads, args.ts) as groups:
         for cfg in configs:
             t0 = time.perf_counter()
@@ -248,6 +249,7 @@ def _run_bench(args, parser) -> int:
             else:
                 res = reduce_band_svd(a_in, cfg, groups)
             secs = time.perf_counter() - t0
+            sweep_trace.records += groups.trace.records
             gf = nominal / secs / 1e9
             dev_txt = ""
             if args.verify:
@@ -268,7 +270,7 @@ def _run_bench(args, parser) -> int:
         if args.b_sweep and best_row is not None:
             _emit(best_row[:-1] + ["1"])
         if args.trace:
-            groups.trace.dump(args.trace)
+            sweep_trace.dump(args.trace)
     return 1 if failed else 0
 
 

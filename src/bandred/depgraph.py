@@ -36,9 +36,10 @@ Two granularities of truth live here:
   opposite sides before searching for paths.  Panels never commute with
   anything that touches their range, so all panel edges are kept.
 
-The fine update blocks are aligned to the global ``b`` grid, matching
-the instrumented range logs produced by ``reduce_band_svd`` with
-``range_log``; the acceptance check compares the two sets directly.
+The fine update blocks are aligned to the global ``b`` grid.  Split there,
+the tasks that the Reference schedule of ``reduce_band_svd`` and
+``reduce_tri_band`` hands to the runtime declare exactly these ranges;
+the acceptance check compares the two lists directly.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .svd import SvdForm, _grid_blocks
+from .svd import SvdForm
 
 __all__ = [
     "TaskKind",
@@ -172,6 +173,19 @@ def _panel_node(kind: TaskKind, it: int, rows: tuple[int, int],
                 cols: tuple[int, int]) -> TaskNode:
     rng = (rows, cols)
     return TaskNode(kind, it, None, (rng,), (rng,))
+
+
+def _grid_blocks(c0: int, c1: int, b: int) -> list[tuple[int, int, int]]:
+    """Split [c0, c1) at the global multiples of b: (block index, g0, g1)."""
+    out = []
+    j = c0 // b
+    while j * b < c1:
+        g0 = max(c0, j * b)
+        g1 = min(c1, (j + 1) * b)
+        if g0 < g1:
+            out.append((j, g0, g1))
+        j += 1
+    return out
 
 
 def _update_nodes(kind: TaskKind, it: int, panel: Range2D,

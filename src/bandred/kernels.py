@@ -446,26 +446,3 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     else:
         workers.map(lambda s: run_strip(*s), strips)
     return A2
-
-
-def sym_two_sided_update(A2, factors, workers=None):
-    """A2 := (I + W*Y^T)^T * A2 * (I + W*Y^T) on the lower triangle only.
-
-    The standard four-step form: X1 = sym(A2)*W, X2 = (1/2)*X1^T*W,
-    X3 = X1 + Y*X2, A2 += X3*Y^T + Y*X3^T.
-    """
-    _as2d(A2, "A2")
-    j, b = factors.y.shape
-    if A2.shape != (j, j):
-        raise ValueError(f"sym_two_sided_update: A2 must be {j} x {j}")
-    if j == 0 or b == 0:
-        return A2
-    W, Y = factors.w, factors.y
-    X1 = np.zeros((j, b), order="F")
-    symm_lower(A2, W, X1, workers)
-    X2 = np.zeros((b, b), order="F")
-    matmul(0.5, X1.T, W, 0.0, X2)
-    X3 = X1.copy(order="F")
-    matmul(1.0, Y, X2, 1.0, X3)
-    syr2k_lower(A2, X3, Y, 0, j, workers)
-    return A2

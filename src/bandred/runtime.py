@@ -2,10 +2,11 @@
 
 Workers are split into a sequential group and a parallel group. Each phase
 runs one ordered task list per group, concurrently, and returns only when
-both lists are done (the barrier). Every task declares the spans it writes;
-a phase whose two lists' declared writes intersect is rejected before any
-task runs. Within a list, overlap is legal -- tasks there run in order and
-may build on each other.
+both lists are done (the barrier). Every task declares the spans it reads
+and writes; a phase in which a write of one list meets a read or a write of
+the other (a RAW, WAR or WAW hazard between the groups) is rejected before
+any task runs. Within a list, overlap is legal -- tasks there run in order
+and may build on each other.
 
 Every submission to a pool runs in a copy of the submitter's context, so
 context variables such as the open flop scopes (bandred.flops) reach the
@@ -33,12 +34,13 @@ __all__ = [
 
 
 class WriteOverlapError(ValueError):
-    """Declared write ranges of the two groups of one phase intersect."""
+    """A declared write of one group of a phase meets a declared read or
+    write of the other group."""
 
 
 @dataclass(frozen=True)
 class Span:
-    """Half-open write range on a named target: rows [r0, r1) x cols [c0, c1).
+    """Half-open range on a named target: rows [r0, r1) x cols [c0, c1).
 
     Targets are names ("A" for the matrix being reduced, buffer names for
     intermediates); spans on different targets never overlap.
@@ -61,12 +63,20 @@ class Span:
 
 @dataclass
 class Task:
-    """A closure plus its declared write spans. fn receives a Workers handle
-    sized to the group the task lands on."""
+    """A closure plus the spans it touches. fn receives a Workers handle
+    sized to the group the task lands on.
+
+    writes lists every range the body stores to. reads lists every range
+    whose value on entry the body uses, so a range updated in place is in
+    both lists, and an output the body overwrites without reading is only
+    in writes. A task that applies a panel's factors lists that panel's
+    range first in reads: the factors are the panel factorization's result.
+    """
 
     task_id: str
     fn: object
     writes: list
+    reads: list = field(default_factory=list)
 
 
 @dataclass
@@ -151,7 +161,8 @@ class ExecGroups:
     group (total_workers - ts_count), plus a full-width pool used when a
     phase has no sequential work (or ts_count = 0: no look-ahead at all).
 
-    Owns the cumulative EventTrace and a log of every task's declared writes.
+    Owns the EventTrace of the phases run on it. Each reduction starts it
+    afresh, so it holds the records of the latest reduction only.
     """
 
     def __init__(self, total_workers=1, ts_count=1):
@@ -165,7 +176,6 @@ class ExecGroups:
         self.ts_count = ts_count
         self.tp_count = total_workers - ts_count
         self.trace = EventTrace()
-        self.write_log = []  # (task_id, group, [Span])
         self._all = ThreadPoolExecutor(max_workers=total_workers)
         self._seq = ThreadPoolExecutor(max_workers=ts_count) if ts_count >= 1 else None
         self._par = (
@@ -195,28 +205,32 @@ def _run_list(tasks, workers, group, trace):
         trace.append(task.task_id, group, start, end)
 
 
+def _check_hazards(plan):
+    for st in plan.seq_tasks:
+        for pt in plan.par_tasks:
+            for writer, other in ((st, pt), (pt, st)):
+                for ws in writer.writes:
+                    for sp in (*other.writes, *other.reads):
+                        if ws.intersects(sp):
+                            verb = "writes" if sp in other.writes else "reads"
+                            raise WriteOverlapError(
+                                f"phase {plan.label!r}: task {writer.task_id!r} "
+                                f"writes {ws.target} rows {ws.rows}x{ws.cols} and "
+                                f"task {other.task_id!r} of the other group {verb} "
+                                f"{sp.rows}x{sp.cols}"
+                            )
+
+
 def run_phase(plan, groups):
     """Execute one phase: seq list in order on the sequential group while the
     par list runs in order on the parallel group; return after both finish.
 
-    Rejects the whole phase (nothing runs) if any seq write span intersects
-    any par write span. Returns the cumulative EventTrace.
+    Rejects the whole phase (nothing runs) if a write span of either list
+    intersects a read or write span of the other. Returns the groups'
+    EventTrace.
     """
-    for st in plan.seq_tasks:
-        for pt in plan.par_tasks:
-            for ws in st.writes:
-                for wp in pt.writes:
-                    if ws.intersects(wp):
-                        raise WriteOverlapError(
-                            f"phase {plan.label!r}: task {st.task_id!r} and "
-                            f"task {pt.task_id!r} both write {ws.target} "
-                            f"rows {ws.rows}x{ws.cols} / {wp.rows}x{wp.cols}"
-                        )
+    _check_hazards(plan)
     trace = groups.trace
-    for task in plan.seq_tasks:
-        groups.write_log.append((task.task_id, "seq", list(task.writes)))
-    for task in plan.par_tasks:
-        groups.write_log.append((task.task_id, "par", list(task.writes)))
 
     if groups.ts_count == 0 or not plan.seq_tasks:
         # Single-pool execution at full width: seq list (if any), then par.

@@ -22,8 +22,9 @@ Three schedules over identical task bodies:
 
 Because every update kernel is bitwise split-stable (see kernels), the three
 schedules produce bitwise-identical bands when serialized; with real
-concurrency they stay identical because each phase's two write sets are
-disjoint by construction (and checked at runtime).
+concurrency they stay identical because no write of one group of a phase
+meets a read or write of the other, by construction and checked at runtime
+against every task's declared spans.
 """
 
 import warnings
@@ -34,7 +35,7 @@ import numpy as np
 
 from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
-from .runtime import ExecGroups, PhasePlan, Span, Task, run_phase
+from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
 
 
 class SevpVariant(Enum):
@@ -61,7 +62,6 @@ class SevpConfig:
     variant: SevpVariant = SevpVariant.REFERENCE
     v2_mapping: V2Mapping = V2Mapping.ON_TS
     accumulate_q: bool = False
-    inner_b: int = 16
 
     def validate(self):
         if self.n < 1:
@@ -102,7 +102,6 @@ class _State:
         self.n = cfg.n
         self.w = cfg.w
         self.b = cfg.b
-        self.inner_b = cfg.inner_b
         self.factors = {}
         self.Q = np.eye(cfg.n, order="F") if cfg.accumulate_q else None
 
@@ -122,6 +121,12 @@ def _bp(state, k):
     return min(state.b, state.n - k - state.w)
 
 
+def _panel(state, k):
+    """Span of iteration k's QR panel, which every task applying its
+    factors reads first (see runtime.Task)."""
+    return Span("A", (k + state.w, state.n), (k, k + _bp(state, k)))
+
+
 # --- task bodies, shared verbatim by every schedule ---------------------
 
 
@@ -129,10 +134,11 @@ def _qr_task(state, k, bp):
     n, w = state.n, state.w
 
     def fn(workers):
-        f = qr_panel(state.A[k + w : n, k : k + bp], state.inner_b)
+        f = qr_panel(state.A[k + w : n, k : k + bp])
         state.factors[k] = f
 
-    return Task(f"qr@{k}", fn, [Span("A", (k + w, n), (k, k + bp))])
+    span = _panel(state, k)
+    return Task(f"qr@{k}", fn, [span], [span])
 
 
 def _q_task(state, k):
@@ -141,7 +147,8 @@ def _q_task(state, k):
     def fn(workers):
         apply_wy_right(state.Q[:, k + w : n], state.factors[k], workers)
 
-    return Task(f"accq@{k}", fn, [Span("Q", (0, n), (k + w, n))])
+    span = Span("Q", (0, n), (k + w, n))
+    return Task(f"accq@{k}", fn, [span], [_panel(state, k), span])
 
 
 def _mid_task(state, k, c0, c1, tag):
@@ -150,7 +157,8 @@ def _mid_task(state, k, c0, c1, tag):
     def fn(workers):
         apply_wy_left(state.A[k + w : n, c0:c1], state.factors[k], workers)
 
-    return Task(f"mid{tag}@{k}", fn, [Span("A", (k + w, n), (c0, c1))])
+    span = Span("A", (k + w, n), (c0, c1))
+    return Task(f"mid{tag}@{k}", fn, [span], [_panel(state, k), span])
 
 
 def _x_tasks(state, k, bp, j):
@@ -170,9 +178,14 @@ def _x_tasks(state, k, bp, j):
         X3[...] = X1
         matmul(1.0, state.factors[k].y, X2, 1.0, X3)
 
-    t1 = Task(f"xprod1@{k}", fn1, [Span(f"X1@{k}", (0, j), (0, bp))])
-    t2 = Task(f"xprod2@{k}", fn2, [Span(f"X2@{k}", (0, bp), (0, bp))])
-    t3 = Task(f"xprod3@{k}", fn3, [Span(f"X3@{k}", (0, j), (0, bp))])
+    panel = _panel(state, k)
+    x1 = Span(f"X1@{k}", (0, j), (0, bp))
+    x2 = Span(f"X2@{k}", (0, bp), (0, bp))
+    x3 = Span(f"X3@{k}", (0, j), (0, bp))
+    trailing = Span("A", (k + w, n), (k + w, n))
+    t1 = Task(f"xprod1@{k}", fn1, [x1], [panel, trailing])
+    t2 = Task(f"xprod2@{k}", fn2, [x2], [panel, x1])
+    t3 = Task(f"xprod3@{k}", fn3, [x3], [panel, x1, x2])
     return (t1, t2, t3), X3
 
 
@@ -185,7 +198,8 @@ def _syr2k_task(state, k, X3, c0, c1, tag):
         )
 
     span = Span("A", (k + w + c0, n), (k + w + c0, k + w + c1))
-    return Task(f"trail{tag}@{k}", fn, [span])
+    x3 = Span(f"X3@{k}", (c0, n - k - w), (0, X3.shape[1]))
+    return Task(f"trail{tag}@{k}", fn, [span], [_panel(state, k), x3, span])
 
 
 # --- schedules ------------------------------------------------------------
@@ -309,6 +323,7 @@ def reduce_sym_band(A, cfg, groups=None):
     own = groups is None
     if own:
         groups = ExecGroups(1, 0)
+    groups.trace = EventTrace()
     state = _State(A, cfg)
     try:
         with flop_scope() as counted:

@@ -1,21 +1,23 @@
 """Reduction of a dense general matrix to triangular-band or band form.
 
-Triangular-band form (m >= n): iteration at leading column k QR-factors
-B = A[k:m, k:k+bp], left-applies it to E = A[k:m, k+bp:n], then (while
-columns remain right of the band) LQ-factors C = A[k:k+bq, k+w:n] and
-right-applies it to the rows below, leaving zero lower bandwidth and upper
-bandwidth w. Strictly sequential; its look-ahead is infeasible for w < 3b,
-which the dependency analyzer demonstrates instead.
+Both forms run one loop over the same task bodies; they differ only in the
+QR row shift s. Iteration at leading column k QR-factors the panel
+A[k+s:m, k:k+bp], left-applies it to B1 = A[k+s:m, k+bp:k+w] and
+D = A[k+s:m, k+w:n], LQ-factors C0 = A[k:k+bq, k+w:n] and right-applies it
+to C1 = A[k+bq:k+w, k+w:n] and the rows below, A[k+w:m, k+w:n].
 
-Band form (m >= n): the QR panel starts w rows down, B0 = A[k+w:m, k:k+bp],
-so the matrix keeps lower bandwidth w and the left/right panel chains
-decouple enough for look-ahead at any block size. Per iteration: left-apply
-to B1 = A[k+w:m, k+bp:k+w] and D = A[k+w:m, k+w:n]; LQ C0 = A[k:k+bq, k+w:n];
-right-apply to C1 = A[k+bq:k+w, k+w:n] and D.
+Triangular-band form (s = 0, m >= n): zero lower bandwidth and upper
+bandwidth w. It runs the Reference schedule only; its look-ahead is
+infeasible for w < 3b, which the dependency analyzer demonstrates instead.
+
+Band form (s = w, m >= n): the QR panel starts w rows down, so the matrix
+keeps lower bandwidth w and the left/right panel chains decouple enough for
+look-ahead at any block size.
 
 Band-form schedules over identical task bodies:
 
-  Reference     QR, left(B1), left(D), LQ, right(C1), right(D) in order.
+  Reference     QR, left(B1), left(D), LQ, right(C1), right(D) in order
+                (the triangular-band form's only schedule).
   Simultaneous  the two D applications fused into one pass over D:
                 Z_L = D^T W_U, Z_R = D W_V, X = Z_R + Y_U (Z_L^T W_V),
                 D += X Y_V^T + Y_U Z_L^T.
@@ -35,23 +37,17 @@ group the D rounding differently and agree to ~1e-15 relative.
 
 m < n inputs are reduced through their transpose and transposed back, with
 the bandwidth tags swapped accordingly.
-
-Passing a range_log list to a Reference-schedule reduction records every
-panel and fine-grained update with its read/write index ranges (updates
-split at the global b-grid; requires w % b == 0). The instrumented run is
-bitwise identical to the plain one, and the logged ranges are what the
-dependency analyzer must reproduce symbolically.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
-from .runtime import ExecGroups, PhasePlan, Span, Task, run_phase
+from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
 from .sevp import V2Mapping
 
 
@@ -76,7 +72,6 @@ class SvdConfig:
     form: SvdForm = SvdForm.BAND
     variant: SvdVariant = SvdVariant.REFERENCE
     v2_mapping: V2Mapping = V2Mapping.ON_TS
-    inner_b: int = 16
 
     def validate(self):
         if self.m < 1 or self.n < 1:
@@ -111,19 +106,6 @@ class SvdResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class RangeRecord:
-    """One instrumented operation: panels carry block=None; fine updates
-    carry the global b-grid block index they write. Ranges are half-open
-    ((r0, r1), (c0, c1)) index pairs."""
-
-    kind: str  # qr_panel | lq_panel | left_update | right_update
-    iteration: int
-    block: int | None
-    reads: tuple
-    writes: tuple
-
-
 def svd_nominal_flops(m, n):
     """Nominal cost of the full reduction of an m x n matrix (m >= n):
     4(mn^2 - n^3/3)."""
@@ -132,124 +114,7 @@ def svd_nominal_flops(m, n):
     return round(4 * (m * n * n - n**3 / 3))
 
 
-def _grid_blocks(c0, c1, b):
-    """Split [c0, c1) at the global multiples of b: (block index, g0, g1)."""
-    out = []
-    j = c0 // b
-    while j * b < c1:
-        g0 = max(c0, j * b)
-        g1 = min(c1, (j + 1) * b)
-        if g0 < g1:
-            out.append((j, g0, g1))
-        j += 1
-    return out
-
-
-def _left_region(A, fu, rows, cols, b, it, rlog, panel_range):
-    r0, r1 = rows
-    c0, c1 = cols
-    if r0 >= r1 or c0 >= c1:
-        return
-    if rlog is None:
-        apply_wy_left(A[r0:r1, c0:c1], fu)
-        return
-    for j, g0, g1 in _grid_blocks(c0, c1, b):
-        apply_wy_left(A[r0:r1, g0:g1], fu)
-        own = ((r0, r1), (g0, g1))
-        rlog.append(RangeRecord("left_update", it, j, (panel_range, own), (own,)))
-
-
-def _right_region(A, fv, rows, cols, b, it, rlog, panel_range):
-    r0, r1 = rows
-    c0, c1 = cols
-    if r0 >= r1 or c0 >= c1:
-        return
-    if rlog is None:
-        apply_wy_right(A[r0:r1, c0:c1], fv)
-        return
-    for j, g0, g1 in _grid_blocks(r0, r1, b):
-        apply_wy_right(A[g0:g1, c0:c1], fv)
-        own = ((g0, g1), (c0, c1))
-        rlog.append(RangeRecord("right_update", it, j, (panel_range, own), (own,)))
-
-
-# --- triangular-band form (sequential) ------------------------------------
-
-
-def _reduce_tri_core(A, w, b, inner_b, rlog):
-    m, n = A.shape
-    k = 0
-    it = 0
-    while m - k >= 2 and k < n:
-        bp = min(b, n - k, m - k)
-        fu = qr_panel(A[k:m, k : k + bp], inner_b)
-        if rlog is not None:
-            pr = ((k, m), (k, k + bp))
-            rlog.append(RangeRecord("qr_panel", it, None, (pr,), (pr,)))
-        else:
-            pr = None
-        _left_region(A, fu, (k, m), (k + bp, n), b, it, rlog, pr)
-        jr = n - k - w
-        if jr >= 1:
-            bq = min(bp, jr)
-            fv = lq_panel(A[k : k + bq, k + w : n], inner_b)
-            if rlog is not None:
-                pr = ((k, k + bq), (k + w, n))
-                rlog.append(RangeRecord("lq_panel", it, None, (pr,), (pr,)))
-            _right_region(A, fv, (k + bq, m), (k + w, n), b, it, rlog, pr)
-        k += bp
-        it += 1
-    return it
-
-
-def reduce_tri_band(A, w, b, groups=None, range_log=None, inner_b=16):
-    """Reduce A to upper triangular-band form: band[i,j] = 0 for i > j and
-    for j > i + w. Sequential by design (groups is accepted for interface
-    symmetry and ignored). For m < n the transpose is reduced, giving the
-    lower triangular-band transposed form (bandwidth tags record which).
-    A NaN or Inf anywhere in A raises ValueError.
-    """
-    if w < 1:
-        raise ValueError("w >= 1")
-    if not (1 <= b <= w):
-        raise ValueError("need 1 <= b <= w")
-    A = np.array(A, dtype=np.float64, order="F")
-    if A.ndim != 2:
-        raise ValueError("reduce_tri_band needs a 2-D matrix")
-    if not np.isfinite(A).all():
-        raise ValueError("reduce_tri_band: the matrix holds NaN or Inf")
-    if range_log is not None and w % b != 0:
-        raise ValueError("range logging requires w to be a multiple of b")
-    m, n = A.shape
-    if m < n:
-        inner = reduce_tri_band(
-            np.asfortranarray(A.T), w, b, groups, range_log, inner_b
-        )
-        return SvdResult(
-            band=np.asfortranarray(inner.band.T),
-            flops=inner.flops,
-            form=SvdForm.TRIANGULAR_BAND,
-            lower_bw=w,
-            upper_bw=0,
-            iterations=inner.iterations,
-        )
-    with flop_scope() as counted:
-        iters = _reduce_tri_core(A, w, b, inner_b, range_log)
-    flops = counted.snapshot()
-    i = np.arange(m)[:, None]
-    jj = np.arange(n)[None, :]
-    A[(i > jj) | (jj > i + w)] = 0.0
-    return SvdResult(
-        band=A,
-        flops=flops,
-        form=SvdForm.TRIANGULAR_BAND,
-        lower_bw=0,
-        upper_bw=w,
-        iterations=iters,
-    )
-
-
-# --- band form ------------------------------------------------------------
+# --- shared task bodies -----------------------------------------------------
 
 
 class _BandState:
@@ -259,52 +124,67 @@ class _BandState:
         self.n = cfg.n
         self.w = cfg.w
         self.b = cfg.b
-        self.inner_b = cfg.inner_b
+        # QR row shift: the band form's panel starts w rows down
+        self.s = cfg.w if cfg.form is SvdForm.BAND else 0
         self.fu = {}
         self.fv = {}
 
 
-def _band_schedule(m, n, w, b):
+def _band_schedule(state):
+    m, n, s, b = state.m, state.n, state.s, state.b
     ks = []
     k = 0
-    while m - k - w >= 2 and k < n:
+    while m - k - s >= 2 and k < n:
         ks.append(k)
-        k += min(b, m - k - w, n - k)
+        k += min(b, m - k - s, n - k)
     return ks
 
 
 def _band_geom(state, k):
-    bp = min(state.b, state.m - k - state.w, state.n - k)
+    bp = min(state.b, state.m - k - state.s, state.n - k)
     jr = state.n - k - state.w
     bq = min(bp, jr) if jr >= 1 else 0
     return bp, jr, bq
 
 
+def _qr_span(state, k):
+    bp = _band_geom(state, k)[0]
+    return Span("A", (k + state.s, state.m), (k, k + bp))
+
+
+def _lq_span(state, k):
+    bq = _band_geom(state, k)[2]
+    return Span("A", (k, k + bq), (k + state.w, state.n))
+
+
 def _qr0_task(state, k, bp):
-    m, w = state.m, state.w
+    m, s = state.m, state.s
 
     def fn(workers):
-        state.fu[k] = qr_panel(state.A[k + w : m, k : k + bp], state.inner_b)
+        state.fu[k] = qr_panel(state.A[k + s : m, k : k + bp])
 
-    return Task(f"qr@{k}", fn, [Span("A", (k + w, m), (k, k + bp))])
+    span = _qr_span(state, k)
+    return Task(f"qr@{k}", fn, [span], [span])
 
 
 def _lq0_task(state, k, bq):
     n, w = state.n, state.w
 
     def fn(workers):
-        state.fv[k] = lq_panel(state.A[k : k + bq, k + w : n], state.inner_b)
+        state.fv[k] = lq_panel(state.A[k : k + bq, k + w : n])
 
-    return Task(f"lq@{k}", fn, [Span("A", (k, k + bq), (k + w, n))])
+    span = _lq_span(state, k)
+    return Task(f"lq@{k}", fn, [span], [span])
 
 
 def _left_task(state, k, c0, c1, tag):
-    m, w = state.m, state.w
+    m, s = state.m, state.s
 
     def fn(workers):
-        apply_wy_left(state.A[k + w : m, c0:c1], state.fu[k], workers)
+        apply_wy_left(state.A[k + s : m, c0:c1], state.fu[k], workers)
 
-    return Task(f"left{tag}@{k}", fn, [Span("A", (k + w, m), (c0, c1))])
+    span = Span("A", (k + s, m), (c0, c1))
+    return Task(f"left{tag}@{k}", fn, [span], [_qr_span(state, k), span])
 
 
 def _right_task(state, k, r0, r1, tag):
@@ -313,12 +193,14 @@ def _right_task(state, k, r0, r1, tag):
     def fn(workers):
         apply_wy_right(state.A[r0:r1, k + w : n], state.fv[k], workers)
 
-    return Task(f"right{tag}@{k}", fn, [Span("A", (r0, r1), (k + w, n))])
+    span = Span("A", (r0, r1), (k + w, n))
+    return Task(f"right{tag}@{k}", fn, [span], [_lq_span(state, k), span])
 
 
 def _fused_tasks(state, k, bp, jr, bq):
     """Z_L = D^T W_U, Z_R = D W_V, X = Z_R + Y_U (Z_L^T W_V); both Z products
-    read D before any write to it (the whole point of the fused update)."""
+    read D before any write to it (the whole point of the fused update).
+    Band form only."""
     m, n, w = state.m, state.n, state.w
     i = m - k - w
     ZL = np.zeros((jr, bp), order="F")
@@ -337,9 +219,13 @@ def _fused_tasks(state, k, bp, jr, bq):
         X[...] = ZR
         matmul(1.0, state.fu[k].y, tmp, 1.0, X)
 
-    t1 = Task(f"zleft@{k}", fzl, [Span(f"ZL@{k}", (0, jr), (0, bp))])
-    t2 = Task(f"zright@{k}", fzr, [Span(f"ZR@{k}", (0, i), (0, bq))])
-    t3 = Task(f"xprod@{k}", fx, [Span(f"X@{k}", (0, i), (0, bq))])
+    qr, lq = _qr_span(state, k), _lq_span(state, k)
+    D = Span("A", (k + w, m), (k + w, n))
+    zl = Span(f"ZL@{k}", (0, jr), (0, bp))
+    zr = Span(f"ZR@{k}", (0, i), (0, bq))
+    t1 = Task(f"zleft@{k}", fzl, [zl], [qr, D])
+    t2 = Task(f"zright@{k}", fzr, [zr], [lq, D])
+    t3 = Task(f"xprod@{k}", fx, [Span(f"X@{k}", (0, i), (0, bq))], [qr, lq, zl, zr])
     return (t1, t2, t3), (ZL, X)
 
 
@@ -355,7 +241,17 @@ def _dsub_task(state, k, ZL, X, r0, r1, c0, c1, tag):
         matmul(1.0, state.fu[k].y[r0:r1, :], ZL[c0:c1, :].T, 1.0, Dv, workers)
 
     span = Span("A", (k + w + r0, k + w + r1), (k + w + c0, k + w + c1))
-    return Task(f"dsub{tag}@{k}", fn, [span])
+    reads = [
+        _qr_span(state, k),
+        _lq_span(state, k),
+        Span(f"X@{k}", (r0, r1), (0, X.shape[1])),
+        Span(f"ZL@{k}", (c0, c1), (0, ZL.shape[1])),
+        span,
+    ]
+    return Task(f"dsub{tag}@{k}", fn, [span], reads)
+
+
+# --- schedules ---------------------------------------------------------------
 
 
 def _run_band_reference(state, groups, ks):
@@ -494,33 +390,12 @@ def _run_band_v2(state, cfg, groups, ks):
         run_phase(PhasePlan(seq, par, label=f"iter@{k}/p2"), groups)
 
 
-def _run_band_instrumented(state, ks, rlog):
-    """Reference schedule with the left/right update regions split at the
-    global b-grid and every operation's ranges logged. Bitwise identical to
-    the plain reference run (the splits are on split-stable kernels)."""
-    m, n, w, b = state.m, state.n, state.w, state.b
-    for it, k in enumerate(ks):
-        bp, jr, bq = _band_geom(state, k)
-        fu = qr_panel(state.A[k + w : m, k : k + bp], state.inner_b)
-        state.fu[k] = fu
-        pr = ((k + w, m), (k, k + bp))
-        rlog.append(RangeRecord("qr_panel", it, None, (pr,), (pr,)))
-        _left_region(state.A, fu, (k + w, m), (k + bp, n), b, it, rlog, pr)
-        if jr >= 1:
-            fv = lq_panel(state.A[k : k + bq, k + w : n], state.inner_b)
-            state.fv[k] = fv
-            pr = ((k, k + bq), (k + w, n))
-            rlog.append(RangeRecord("lq_panel", it, None, (pr,), (pr,)))
-            _right_region(state.A, fv, (k + bq, m), (k + w, n), b, it, rlog, pr)
-
-
-def reduce_band_svd(A, cfg, groups=None, range_log=None):
+def reduce_band_svd(A, cfg, groups=None):
     """Reduce A (cfg.m x cfg.n) to the form cfg selects: equal-bandwidth band
-    (|i-j| <= w) or, with cfg.form = TRIANGULAR_BAND, the sequential
-    triangular-band reduction. If m <= w + 1 nothing is off-band and the
+    (|i-j| <= w) or, with cfg.form = TRIANGULAR_BAND, upper triangular-band
+    (0 <= j-i <= w). In band form with m <= w + 1 nothing is off-band and the
     input is returned unchanged. m < n reduces the transpose (see module
-    docstring). range_log is only meaningful for the Reference schedule.
-    A NaN or Inf anywhere in A raises ValueError.
+    docstring). A NaN or Inf anywhere in A raises ValueError.
     """
     cfg.validate()
     A = np.array(A, dtype=np.float64, order="F")
@@ -535,17 +410,8 @@ def reduce_band_svd(A, cfg, groups=None, range_log=None):
     if cfg.m < cfg.n:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # already warned once
-            tcfg = SvdConfig(
-                m=cfg.n,
-                n=cfg.m,
-                w=cfg.w,
-                b=cfg.b,
-                form=cfg.form,
-                variant=cfg.variant,
-                v2_mapping=cfg.v2_mapping,
-                inner_b=cfg.inner_b,
-            )
-            inner = reduce_band_svd(np.asfortranarray(A.T), tcfg, groups, range_log)
+            tcfg = replace(cfg, m=cfg.n, n=cfg.m)
+            inner = reduce_band_svd(np.asfortranarray(A.T), tcfg, groups)
         return SvdResult(
             band=np.asfortranarray(inner.band.T),
             flops=inner.flops,
@@ -554,27 +420,19 @@ def reduce_band_svd(A, cfg, groups=None, range_log=None):
             upper_bw=inner.lower_bw,
             iterations=inner.iterations,
         )
-    if cfg.form == SvdForm.TRIANGULAR_BAND:
-        return reduce_tri_band(A, cfg.w, cfg.b, groups, range_log, cfg.inner_b)
 
-    if range_log is not None:
-        if cfg.variant != SvdVariant.REFERENCE:
-            raise ValueError("range logging is defined for the reference schedule")
-        if cfg.w % cfg.b != 0:
-            raise ValueError("range logging requires w to be a multiple of b")
-
-    ks = _band_schedule(cfg.m, cfg.n, cfg.w, cfg.b)
-    if not ks:
-        return SvdResult(A, {"total": 0}, SvdForm.BAND, cfg.w, cfg.w, 0)
+    tri = cfg.form is SvdForm.TRIANGULAR_BAND
     state = _BandState(A, cfg)
-    own = range_log is None and groups is None
+    ks = _band_schedule(state)
+    if not ks and not tri:
+        return SvdResult(A, {"total": 0}, SvdForm.BAND, cfg.w, cfg.w, 0)
+    own = groups is None
     if own:
         groups = ExecGroups(1, 0)
+    groups.trace = EventTrace()
     try:
         with flop_scope() as counted:
-            if range_log is not None:
-                _run_band_instrumented(state, ks, range_log)
-            elif cfg.variant == SvdVariant.REFERENCE:
+            if cfg.variant == SvdVariant.REFERENCE:
                 _run_band_reference(state, groups, ks)
             elif cfg.variant == SvdVariant.SIMULTANEOUS:
                 _run_band_simultaneous(state, groups, ks)
@@ -588,5 +446,21 @@ def reduce_band_svd(A, cfg, groups=None, range_log=None):
     flops = counted.snapshot()
     i = np.arange(cfg.m)[:, None]
     jj = np.arange(cfg.n)[None, :]
+    if tri:
+        A[(i > jj) | (jj > i + cfg.w)] = 0.0
+        return SvdResult(A, flops, SvdForm.TRIANGULAR_BAND, 0, cfg.w, len(ks))
     A[np.abs(i - jj) > cfg.w] = 0.0
     return SvdResult(A, flops, SvdForm.BAND, cfg.w, cfg.w, len(ks))
+
+
+def reduce_tri_band(A, w, b, groups=None):
+    """Reduce A to upper triangular-band form: band[i,j] = 0 for i > j and
+    for j > i + w. Runs the Reference schedule with QR row shift 0 on
+    groups (one worker if None). For m < n the transpose is reduced, giving
+    the lower triangular-band transposed form (bandwidth tags record which).
+    A NaN or Inf anywhere in A raises ValueError.
+    """
+    if np.ndim(A) != 2:
+        raise ValueError("reduce_tri_band needs a 2-D matrix")
+    cfg = SvdConfig(*np.shape(A), w, b, form=SvdForm.TRIANGULAR_BAND)
+    return reduce_band_svd(A, cfg, groups)

@@ -211,15 +211,18 @@ def test_load_rejects_nonsquare_for_sevp(tmp_path):
 
 
 def test_trace_file_contains_schedule_events(tmp_path):
+    # a b-sweep: each reduction restarts the groups' trace, and the file
+    # must still hold every configuration (b = 2 and b = 4)
     trace = tmp_path / "trace.tsv"
     proc = _run(
-        "--algo", "sevp-v1", "--n", "30", "--w", "8", "--b", "4",
-        "--threads", "2", "--trace", str(trace),
+        "--algo", "sevp-v1", "--n", "30", "--w", "8", "--b-sweep",
+        "--b-start", "2", "--b-step", "2", "--threads", "2", "--trace", str(trace),
     )
     assert proc.returncode == 0
     lines = trace.read_text().splitlines()
     ids = [line.split("\t")[0] for line in lines]
-    assert "qr@0" in ids and any(i.startswith("mid-head@") for i in ids)
+    assert ids.count("qr@0") == 2 and any(i.startswith("mid-head@") for i in ids)
+    assert "qr@2" in ids and "qr@4" in ids
 
 
 def test_csv_is_stable_across_runs():

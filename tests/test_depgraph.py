@@ -181,34 +181,17 @@ def test_band_form_updates_skip_the_band_rows():
     assert tleft and all(t.writes[0][0] == (0, 20) for t in tleft)
 
 
-def test_enumerated_tasks_match_instrumented_triband_run():
+def test_enumerated_tasks_match_instrumented_triband_run(reference_nodes):
     m, n, w, b = 20, 16, 4, 2
-    log = []
-    reduce_tri_band(np.asfortranarray(np.random.default_rng(0).standard_normal((m, n))),
-                    w, b, range_log=log)
-    want = {
-        (t.kind.value, t.iteration, t.block, t.reads, t.writes)
-        for t in enumerate_tasks(m, n, w, b, SvdForm.TRIANGULAR_BAND)
-    }
-    got = {(r.kind, r.iteration, r.block, tuple(r.reads), tuple(r.writes)) for r in log}
-    assert got == want
+    reduce_tri_band(np.asfortranarray(np.random.default_rng(0).standard_normal((m, n))), w, b)
+    assert reference_nodes(b) == enumerate_tasks(m, n, w, b, SvdForm.TRIANGULAR_BAND)
 
 
-def test_enumerated_tasks_match_instrumented_band_run():
+def test_enumerated_tasks_match_instrumented_band_run(reference_nodes):
     m, n, w, b = 18, 18, 4, 2
-    log = []
     cfg = SvdConfig(m=m, n=n, w=w, b=b, form=SvdForm.BAND)
-    reduce_band_svd(
-        np.asfortranarray(np.random.default_rng(1).standard_normal((m, n))),
-        cfg,
-        range_log=log,
-    )
-    want = {
-        (t.kind.value, t.iteration, t.block, t.reads, t.writes)
-        for t in enumerate_tasks(m, n, w, b, SvdForm.BAND)
-    }
-    got = {(r.kind, r.iteration, r.block, tuple(r.reads), tuple(r.writes)) for r in log}
-    assert got == want
+    reduce_band_svd(np.asfortranarray(np.random.default_rng(1).standard_normal((m, n))), cfg)
+    assert reference_nodes(b) == enumerate_tasks(m, n, w, b, SvdForm.BAND)
 
 
 def test_enumerate_validation():

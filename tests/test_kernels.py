@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,8 @@ from bandred import (
     qr_panel,
     reset_flops,
     snapshot_flops,
-    sym_two_sided_update,
 )
+from bandred import sevp
 from bandred.kernels import (
     CHAIN_BLOCK,
     ROW_TILE,
@@ -580,20 +582,31 @@ def test_syr2k_lower_matches_dense_and_split():
     )
 
 
+def _two_sided(A2, f):
+    """A2 := (I + W*Y^T)^T * A2 * (I + W*Y^T) on the lower triangle, run
+    through the SEVP task bodies: the X1/X2/X3 products, then the rank-2k
+    trailing update, with A2 as the trailing block of iteration k = 0."""
+    j, b = f.y.shape
+    state = SimpleNamespace(A=A2, n=j, w=0, b=b, factors={0: f})
+    xprods, X3 = sevp._x_tasks(state, 0, b, j)
+    for task in (*xprods, sevp._syr2k_task(state, 0, X3, 0, j, "")):
+        task.fn(None)
+
+
 def test_sym_two_sided_zero_factors_identity():
     f = qr_panel(_rand(8, 2, 48))
     f.w[...] = 0.0
     f.y[...] = 0.0
     A0 = _sym_lower(8, 49)
     A = A0.copy(order="F")
-    sym_two_sided_update(A, f)
+    _two_sided(A, f)
     assert np.array_equal(np.tril(A), np.tril(A0))
 
 
 def test_sym_two_sided_identity_stays_identity():
     f = qr_panel(_rand(9, 3, 50))
     A = np.eye(9, order="F")
-    sym_two_sided_update(A, f)
+    _two_sided(A, f)
     assert np.max(np.abs(np.tril(A) - np.tril(np.eye(9)))) <= 1e-13
 
 
@@ -602,7 +615,7 @@ def test_sym_two_sided_matches_dense_similarity():
     A0 = _sym_lower(12, 52)
     dense0 = _densify(A0)
     A = A0.copy(order="F")
-    sym_two_sided_update(A, f)
+    _two_sided(A, f)
     Q = _q_explicit(f)
     want = Q.T @ dense0 @ Q
     scale = np.linalg.norm(dense0)

@@ -122,8 +122,86 @@ def test_overlapping_writes_rejected_before_any_task_runs():
         with pytest.raises(WriteOverlapError):
             run_phase(plan, groups)
         assert ran == []  # rejection happened before execution
-        assert groups.write_log == []
         assert groups.trace.records == []
+
+
+def _span_task(tid, ran, writes=(), reads=()):
+    return Task(tid, lambda workers: ran.append(tid), list(writes), list(reads))
+
+
+@pytest.mark.parametrize(
+    "seq_spans, par_spans",
+    [
+        # RAW: a seq write meets a par read
+        (dict(writes=[Span("A", (0, 4), (0, 3))]), dict(reads=[Span("A", (2, 3), (2, 5))])),
+        # WAR: a par write meets a seq read
+        (dict(reads=[Span("A", (0, 4), (0, 3))]), dict(writes=[Span("A", (3, 6), (1, 2))])),
+        # WAR on a named buffer, the read listed after a disjoint one
+        (
+            dict(reads=[Span("A", (0, 2), (0, 2)), Span("X@4", (0, 8), (0, 2))]),
+            dict(writes=[Span("X@4", (7, 9), (0, 2))]),
+        ),
+    ],
+    ids=["raw-seq-write-par-read", "war-par-write-seq-read", "war-buffer"],
+)
+def test_cross_group_hazards_rejected_before_any_task_runs(seq_spans, par_spans):
+    # WAW is test_overlapping_writes_rejected_before_any_task_runs
+    ran = []
+    plan = PhasePlan(
+        [_span_task("s0", ran), _span_task("s1", ran, **seq_spans)],
+        [_span_task("p0", ran, **par_spans), _span_task("p1", ran)],
+        label="hazard",
+    )
+    with ExecGroups(2, 1) as groups:
+        with pytest.raises(WriteOverlapError, match="'hazard'"):
+            run_phase(plan, groups)
+        assert ran == [] and groups.trace.records == []
+
+
+def test_disjoint_and_shared_read_spans_run():
+    """Reads that meet no write of the other group are legal, and so is the
+    same range read by both groups."""
+    ran = []
+    panel = Span("A", (4, 8), (0, 2))
+    plan = PhasePlan(
+        [_span_task("s", ran, writes=[Span("A", (0, 8), (2, 4))], reads=[panel])],
+        [_span_task("p", ran, writes=[Span("A", (0, 8), (4, 6))],
+                    reads=[panel, Span("A", (0, 8), (4, 9))])],
+    )
+    with ExecGroups(2, 1) as groups:
+        run_phase(plan, groups)
+    assert sorted(ran) == ["p", "s"]
+
+
+def test_task_reads_default_to_empty():
+    assert Task("t", None, [Span("A", (0, 1), (0, 1))]).reads == []
+
+
+def test_each_reduction_starts_the_trace_afresh():
+    cfg = SevpConfig(128, 16, 8, variant=SevpVariant.V1)
+    A = gen_sym(128, 3)
+    with ExecGroups(2, 1) as groups:
+        counts = []
+        for _ in range(3):
+            reduce_sym_band(A, cfg, groups)
+            counts.append(len(groups.trace.records))
+        ids = [r[0] for r in groups.trace.records]
+    assert counts == [84, 84, 84]
+    assert len(ids) == len(set(ids))  # one reduction's tasks, each once
+    assert min(r[2] for r in groups.trace.records) == 1
+
+
+@pytest.mark.parametrize("shape", [(300, 140), (140, 300)])
+@pytest.mark.parametrize("w, b", [(8, 4), (5, 3)])
+def test_tri_band_on_two_groups_matches_one_worker(shape, w, b):
+    # over 128 rows and columns, so the applies split into worker tiles
+    A = gen_general(*shape, 8)
+    one = reduce_tri_band(A, w, b)
+    with ExecGroups(2, 1) as groups:
+        two = reduce_tri_band(A, w, b, groups)
+        assert groups.trace.records  # the phases ran on these groups
+    assert np.array_equal(two.band, one.band)
+    assert two.flops == one.flops
 
 
 def test_within_list_overlap_is_legal():
@@ -179,21 +257,6 @@ def test_trace_find_and_dump(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "qr@0\tseq\t1\t2"
     assert len(lines) == 3
-
-
-def test_write_log_records_declared_spans():
-    arr = np.zeros((3, 6), order="F")
-    with ExecGroups(2, 1) as groups:
-        run_phase(
-            PhasePlan(
-                [_scale_task(arr, 0, 2, 1.0, "s0")], [_scale_task(arr, 2, 6, 1.0, "p0")]
-            ),
-            groups,
-        )
-    assert [(tid, grp) for tid, grp, _ in groups.write_log] == [("s0", "seq"), ("p0", "par")]
-    spans = {tid: sp for tid, _, sp in groups.write_log}
-    assert spans["s0"] == [Span("A", (0, 3), (0, 2))]
-    assert spans["p0"] == [Span("A", (0, 3), (2, 6))]
 
 
 def test_workers_reach_task_bodies():

@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import bandred.sevp as sevp_mod
 from bandred import (
     ExecGroups,
     SevpConfig,
@@ -109,33 +108,27 @@ def test_v1_boundary_no_rest_update_when_w_is_2b():
     assert np.array_equal(res.band, ref.band)
 
 
-def test_v1_phase_write_sets_are_disjoint(monkeypatch):
-    """Re-check, independently of the runtime's own guard, that no V1 phase
-    ever declares a sequential write overlapping a parallel write."""
-    phases = []
-    real = sevp_mod.run_phase
+def _boxes(tasks, role):
+    return [(s.target, s.rows, s.cols) for t in tasks for s in getattr(t, role)]
 
-    def spy(plan, groups):
-        phases.append(
-            (
-                [(s.target, s.rows, s.cols) for t in plan.seq_tasks for s in t.writes],
-                [(s.target, s.rows, s.cols) for t in plan.par_tasks for s in t.writes],
-            )
-        )
-        return real(plan, groups)
 
-    monkeypatch.setattr(sevp_mod, "run_phase", spy)
-    with ExecGroups(2, 1) as groups:
-        reduce_sym_band(_sym(30, 7), _cfg(30, 8, 3, SevpVariant.V1), groups)
-    assert any(seq and par for seq, par in phases)
-    for seq, par in phases:
-        for ts, rs, cs in seq:
-            for tp, rp, cp in par:
-                if ts != tp:
-                    continue
-                row_overlap = rs[0] < rp[1] and rp[0] < rs[1]
-                col_overlap = cs[0] < cp[1] and cp[0] < cs[1]
-                assert not (row_overlap and col_overlap)
+def _meets(p, q):
+    (tp, rp, cp), (tq, rq, cq) = p, q
+    return tp == tq and rp[0] < rq[1] and rq[0] < rp[1] and cp[0] < cq[1] and cq[0] < cp[1]
+
+
+def test_v1_phase_write_sets_are_disjoint(captured_plans):
+    """Re-check, independently of the runtime's own guard, that no V1 or V2
+    phase declares a write of one group meeting a read or write of the other."""
+    for variant, w, b in ((SevpVariant.V1, 8, 3), (SevpVariant.V2, 6, 4)):
+        with ExecGroups(2, 1) as groups:
+            reduce_sym_band(_sym(30, 7), _cfg(30, w, b, variant), groups)
+    assert any(p.seq_tasks and p.par_tasks for p in captured_plans)
+    for plan in captured_plans:
+        for mine, theirs in ((plan.seq_tasks, plan.par_tasks), (plan.par_tasks, plan.seq_tasks)):
+            for wr in _boxes(mine, "writes"):
+                for other in _boxes(theirs, "writes") + _boxes(theirs, "reads"):
+                    assert not _meets(wr, other), (plan.label, wr, other)
 
 
 def test_v2_serialized_is_bitwise_reference():
@@ -167,18 +160,19 @@ def test_v2_mapping_choice_does_not_change_bits():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_v2_with_b_equal_w_leads_with_b_columns():
+def test_v2_with_b_equal_w_leads_with_b_columns(captured_plans):
     """b = w: the lead slice of the trailing update (the columns the next
     panel spills into, width bp + bpn - w) spans exactly b columns whenever
     the next panel is full width."""
     A = _sym(30, 11)
     with ExecGroups(2, 1) as groups:
         res = reduce_sym_band(A, _cfg(30, 4, 4, SevpVariant.V2), groups)
-        widths = {
-            tid.split("@")[1]: spans[0].cols[1] - spans[0].cols[0]
-            for tid, _, spans in groups.write_log
-            if tid.startswith("trail-lead@")
-        }
+    widths = {
+        t.task_id.split("@")[1]: t.writes[0].cols[1] - t.writes[0].cols[0]
+        for plan in captured_plans
+        for t in plan.seq_tasks
+        if t.task_id.startswith("trail-lead@")
+    }
     # ks = 0,4,...,24 with a width-2 fringe panel at k = 24
     assert {k: w for k, w in widths.items() if k in {"0", "4", "8", "12", "16"}} == {
         k: 4 for k in ("0", "4", "8", "12", "16")

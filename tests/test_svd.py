@@ -228,15 +228,16 @@ def test_v1_next_panel_waits_for_its_column_update():
         assert qr[0][2] > head[0][3]
 
 
-def test_v2_d11_block_is_b_by_b_when_b_equals_w():
+def test_v2_d11_block_is_b_by_b_when_b_equals_w(captured_plans):
     A = _rand(30, 30, 18)
     with ExecGroups(2, 1) as groups:
         reduce_band_svd(A, _cfg(30, 30, 4, 4, SvdVariant.V2), groups)
-        d11 = {
-            tid.split("@")[1]: spans[0]
-            for tid, _, spans in groups.write_log
-            if tid.startswith("dsub-d11@")
-        }
+    d11 = {
+        t.task_id.split("@")[1]: t.writes[0]
+        for plan in captured_plans
+        for t in plan.seq_tasks
+        if t.task_id.startswith("dsub-d11@")
+    }
     for k in ("0", "4", "8", "12", "16"):  # pairs with a full next panel
         span = d11[k]
         assert span.rows[1] - span.rows[0] == 4
@@ -264,37 +265,37 @@ def test_fused_update_matches_dense_two_sided_product():
     assert np.max(np.abs(fused - dense)) <= 1e-12 * np.linalg.norm(D)
 
 
-# --- instrumented runs -----------------------------------------------------
+# --- declared spans ----------------------------------------------------------
 
 
-def test_tri_range_logging_does_not_change_bits():
-    A = _rand(16, 12, 20)
-    plain = reduce_tri_band(A, w=4, b=2)
-    log = []
-    logged = reduce_tri_band(A, w=4, b=2, range_log=log)
-    assert np.array_equal(logged.band, plain.band)
-    assert log and all(r.kind in {"qr_panel", "lq_panel", "left_update", "right_update"} for r in log)
-    for rec in log:
-        for (r0, r1), (c0, c1) in rec.writes:
-            assert 0 <= r0 < r1 <= 16
-            assert 0 <= c0 < c1 <= 12
-
-
-def test_band_range_logging_does_not_change_bits():
-    A = _rand(18, 18, 21)
-    plain = reduce_band_svd(A, _cfg(18, 18, 4, 2))
-    log = []
-    logged = reduce_band_svd(A, _cfg(18, 18, 4, 2), range_log=log)
-    assert np.array_equal(logged.band, plain.band)
-    fine = [r for r in log if r.block is not None]
-    assert fine and all(r.writes[0] in r.reads for r in log)
-
-
-def test_band_range_logging_restrictions():
-    with pytest.raises(ValueError):
-        reduce_band_svd(_rand(18, 18, 0), _cfg(18, 18, 4, 2, SvdVariant.V1), range_log=[])
-    with pytest.raises(ValueError):
-        reduce_band_svd(_rand(18, 18, 0), _cfg(18, 18, 4, 3), range_log=[])
+@pytest.mark.parametrize(
+    "m, n, form, variant",
+    [
+        (16, 12, SvdForm.TRIANGULAR_BAND, SvdVariant.REFERENCE),
+        (18, 18, SvdForm.BAND, SvdVariant.REFERENCE),
+        (18, 18, SvdForm.BAND, SvdVariant.SIMULTANEOUS),
+    ],
+)
+def test_tasks_declare_in_bounds_spans_and_read_what_they_update(captured_plans, m, n, form, variant):
+    """Every task the reduction runs declares one write, inside A or its
+    named buffer. Updates of A read the block they write and first the
+    panel whose factors they apply; panels read exactly what they write."""
+    reduce_band_svd(_rand(m, n, 20), _cfg(m, n, 4, 2, variant, form=form))
+    tasks = [t for plan in captured_plans for t in plan.par_tasks]
+    kinds = {t.task_id.split("@")[0].split("-")[0] for t in tasks}
+    assert {"qr", "lq", "left", "right"} <= kinds
+    for t in tasks:
+        (own,) = t.writes
+        if own.target == "A":
+            assert 0 <= own.rows[0] < own.rows[1] <= m
+            assert 0 <= own.cols[0] < own.cols[1] <= n
+        if t.task_id.startswith(("qr@", "lq@")):
+            assert t.reads == [own]
+        elif t.task_id.startswith(("left", "right", "dsub")):
+            assert own in t.reads
+            side = "qr" if t.task_id.startswith(("left", "dsub")) else "lq"
+            (panel,) = [p for p in tasks if p.task_id == f"{side}@{t.task_id.split('@')[1]}"]
+            assert t.reads[0] == panel.writes[0], t.task_id
 
 
 # --- config and flops ------------------------------------------------------
