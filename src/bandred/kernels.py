@@ -7,7 +7,7 @@ sequential order. Each output entry gets one rounded product and one rounded
 sum per inner index, in inner order; numpy ufuncs round the multiply and the
 add separately (no FMA contraction). So each entry's bit pattern depends only
 on its own row of A, column of B, alpha, beta and the inner order -- never on
-how the output happens to be tiled across workers or split across tasks.
+how the output is tiled, split across tasks or shared among workers.
 That property is what lets the look-ahead variants repartition updates
 freely while staying bitwise comparable to the reference schedule.
 
@@ -17,6 +17,12 @@ in order either by np.add.accumulate down the stack (small outputs) or by one
 slot-wide np.add per inner index (large outputs). np.add.reduce, einsum, @,
 np.dot and BLAS gemm are deliberately not used: they sum pairwise or in
 shape-dependent blocks and do not have this stability.
+
+Tiles only split work among workers. With one worker (workers None or of
+count 1) each kernel sums its whole output in one sweep, so an inner index
+costs one np.add per output rather than one per tile; with two or more, the
+output is cut into ROW_TILE/COL_TILE tiles for the pool to share. SCRATCH
+bounds the cache footprint either way, and the bits depend on neither.
 
 Vector norms and dots (np.linalg.norm, @ on vectors) appear only inside panel
 factorizations, where every schedule issues the identical call on identical
@@ -29,14 +35,16 @@ import numpy as np
 
 from .flops import FLOPS
 
-# Fixed tile edges for internal worker parallelism. Constants, never derived
-# from worker counts: the work decomposition must not depend on resources.
+# Tile edges for sharing an output among two or more workers (see _split);
+# one worker sums the whole output at once. SYM_STRIP is the column strip of
+# syr2k_lower and of symm_lower's operand assembly. No entry's bits depend on
+# any of them.
 ROW_TILE = 128
 COL_TILE = 128
 SYM_STRIP = 64
 # Scratch of one _accumulate call, in float64 entries (128 KB), and the
-# largest output block it sums with np.add.accumulate. Fixed like the tiles
-# above: how a sum is computed never depends on workers or workload.
+# largest output block it sums with np.add.accumulate. Fixed: how a sum is
+# computed depends only on operand shapes, never on workers or workload.
 SCRATCH = 16384
 CHAIN_BLOCK = 256
 # Blue's thresholds for an unscaled 2-norm: inside (RTMIN, RTMAX) no square
@@ -73,8 +81,9 @@ def _accumulate(A, B, C):
       accumulate is a sequential prefix sum by definition, but each of its
       adds waits for the one before, so it pays off only where a per-index
       call would cost more than the chains.
-    - larger C, cut into column tiles of at most SCRATCH entries: one np.add
-      of each slot into the tile, in inner order.
+    - larger C, cut into column tiles of at most SCRATCH entries (one
+      column at least, for C taller than SCRATCH): one np.add of each slot
+      into the tile, in inner order.
 
     np.add.reduce, einsum, @ and np.dot are never used: they sum pairwise or
     in BLAS-chosen blocks, so their bits depend on the operand shapes.
@@ -106,14 +115,23 @@ def _accumulate(A, B, C):
                 np.add(Ct, prod, out=Ct)
 
 
+def _split(workers, size, tile, run):
+    """run(lo, hi) over [0, size): once over the whole range unless two or
+    more workers share it, then in tiles of `tile` handed to workers.map."""
+    if workers is None or workers.count == 1 or size <= tile:
+        run(0, size)
+    else:
+        workers.map(lambda t: run(*t), [(lo, min(lo + tile, size)) for lo in range(0, size, tile)])
+
+
 def matmul(alpha, A, B, beta, C, workers=None):
     """C := alpha*A*B + beta*C with a fixed summation order over the inner
     dimension (strictly sequential, one rounded product and one rounded sum
     per inner index).
 
-    Pass transposed views (A.T / B.T) for transposed operands. Parallelism,
-    when a Workers handle is given, is only across disjoint row tiles of C;
-    results are bitwise identical for any worker count.
+    Pass transposed views (A.T / B.T) for transposed operands. Two or more
+    workers share disjoint row tiles of C; one worker sums all of C in one
+    sweep. Results are bitwise identical for any worker count.
     """
     _as2d(A, "A"), _as2d(B, "B"), _as2d(C, "C")
     m, k = A.shape
@@ -132,12 +150,7 @@ def matmul(alpha, A, B, beta, C, workers=None):
     if alpha != 1.0:
         A = A * alpha  # one rounding per entry, as if folded in at each step
 
-    tiles = [slice(r0, min(r0 + ROW_TILE, m)) for r0 in range(0, m, ROW_TILE)]
-    if workers is None or len(tiles) == 1:
-        for t in tiles:
-            _accumulate(A[t], B, C[t])
-    else:
-        workers.map(lambda t: _accumulate(A[t], B, C[t]), tiles)
+    _split(workers, m, ROW_TILE, lambda r0, r1: _accumulate(A[r0:r1], B, C[r0:r1]))
     return C
 
 
@@ -323,8 +336,9 @@ def lq_panel(P, inner_b=16):
 def apply_wy_left(A, factors, workers=None):
     """A := A + Y*(W^T*A), the left application of Q^T = (I + W*Y^T)^T.
 
-    Column-tiled; each tile is an independent pair of matmuls, so the result
-    is bitwise invariant under any column split of A.
+    Each column of A is updated on its own, so the result is bitwise
+    invariant under any column split of A; two or more workers share
+    COL_TILE-column tiles, one worker runs the whole A as one pair of matmuls.
     """
     _as2d(A, "A")
     j, b = factors.y.shape
@@ -340,17 +354,17 @@ def apply_wy_left(A, factors, workers=None):
         matmul(1.0, factors.w.T, blk, 0.0, t1)
         matmul(1.0, factors.y, t1, 1.0, blk)
 
-    tiles = [(c0, min(c0 + COL_TILE, c)) for c0 in range(0, c, COL_TILE)]
-    if workers is None or len(tiles) == 1:
-        for t in tiles:
-            run_tile(*t)
-    else:
-        workers.map(lambda t: run_tile(*t), tiles)
+    _split(workers, c, COL_TILE, run_tile)
     return A
 
 
 def apply_wy_right(A, factors, workers=None):
-    """A := A + (A*W)*Y^T, the right application of I + W*Y^T. Row-tiled."""
+    """A := A + (A*W)*Y^T, the right application of I + W*Y^T.
+
+    Each row of A is updated on its own, so the result is bitwise invariant
+    under any row split of A; two or more workers share ROW_TILE-row tiles,
+    one worker runs the whole A as one pair of matmuls.
+    """
     _as2d(A, "A")
     j, b = factors.y.shape
     if A.shape[1] != j:
@@ -365,22 +379,20 @@ def apply_wy_right(A, factors, workers=None):
         matmul(1.0, blk, factors.w, 0.0, t1)
         matmul(1.0, t1, factors.y.T, 1.0, blk)
 
-    tiles = [(r0, min(r0 + ROW_TILE, r)) for r0 in range(0, r, ROW_TILE)]
-    if workers is None or len(tiles) == 1:
-        for t in tiles:
-            run_tile(*t)
-    else:
-        workers.map(lambda t: run_tile(*t), tiles)
+    _split(workers, r, ROW_TILE, run_tile)
     return A
 
 
 def symm_lower(A2, W, out, workers=None):
     """out := sym(A2) * W where only A2's lower triangle is authoritative.
 
-    Row-tiled: each tile assembles its full symmetric row block (lower part,
-    mirrored diagonal block, transposed column block) into a scratch buffer
-    and runs one matmul over the full inner range, so the inner summation
-    order is global and tile-independent.
+    Assembles the full symmetric j x j operand once, in SYM_STRIP column
+    blocks (lower part, mirrored diagonal block, transposed column block),
+    and runs one matmul over it, so every entry of out is one sequential sum
+    over the whole inner range. matmul shares its row tiles among two or
+    more workers. Its accumulator starts at +0.0, and a rounded sum is -0.0
+    only when both terms are, so a zero's sign in A2 never reaches out. The
+    operand is a j x j transient (about 1 MB at j = 352).
     """
     _as2d(A2, "A2"), _as2d(W, "W"), _as2d(out, "out")
     j = A2.shape[0]
@@ -388,33 +400,27 @@ def symm_lower(A2, W, out, workers=None):
         raise ValueError("symm_lower shape mismatch")
     if j == 0:
         return out
-
-    def run_tile(r0, r1):
-        rows = np.empty((r1 - r0, j), order="F")
-        rows[:, :r0] = A2[r0:r1, :r0]
-        d = A2[r0:r1, r0:r1]
-        rows[:, r0:r1] = np.tril(d) + np.tril(d, -1).T
-        rows[:, r1:] = A2[r1:, r0:r1].T
-        matmul(1.0, rows, W, 0.0, out[r0:r1, :])
-
-    tiles = [(r0, min(r0 + SYM_STRIP, j)) for r0 in range(0, j, SYM_STRIP)]
-    if workers is None or len(tiles) == 1:
-        for t in tiles:
-            run_tile(*t)
-    else:
-        workers.map(lambda t: run_tile(*t), tiles)
-    return out
+    S = np.empty((j, j), order="F")
+    for c0 in range(0, j, SYM_STRIP):
+        c1 = min(c0 + SYM_STRIP, j)
+        d = A2[c0:c1, c0:c1]
+        S[c0:c1, c0:c1] = np.tril(d) + np.tril(d, -1).T
+        S[c1:, c0:c1] = A2[c1:, c0:c1]
+        S[c0:c1, c1:] = A2[c1:, c0:c1].T
+    return matmul(1.0, S, W, 0.0, out, workers)
 
 
 def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     """A2[:, c0:c1] += X3*Y^T + Y*X3^T, lower triangle only, exactly.
 
-    Column-strip decomposition: for each strip, the rectangular body below
-    the strip's diagonal block is two matmuls. The d x d diagonal block is
-    summed whole on a copy and only its lower triangle is written back; the
-    flops charged, under "syr2k", are those of the triangle alone,
-    4*k*d(d+1)/2. Always X3*Y^T first, then Y*X3^T -- a fixed order that any
-    column split of the range preserves per element.
+    With L = [X3 | Y] and R = [Y | X3], the update is L*R^T: one product of
+    inner length 2k whose inner order is the X3*Y^T terms, then the Y*X3^T
+    terms -- a fixed order that any column split of the range preserves per
+    element. Column-strip decomposition: for each SYM_STRIP strip, the
+    rectangular body below the strip's diagonal block is one matmul, and the
+    d x d diagonal block is summed whole on a copy whose lower triangle alone
+    is written back; the flops charged for it, under "syr2k", are those of
+    the triangle alone, 4*k*d(d+1)/2. Two or more workers share the strips.
     """
     _as2d(A2, "A2"), _as2d(X3, "X3"), _as2d(Y, "Y")
     j = A2.shape[0]
@@ -425,17 +431,18 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     k = X3.shape[1]
     if c0 == c1 or k == 0:
         return A2
+    L = np.empty((j, 2 * k), order="F")
+    R = np.empty((j, 2 * k), order="F")
+    L[:, :k] = R[:, k:] = X3
+    L[:, k:] = R[:, :k] = Y
 
     def run_strip(s0, s1):
         if s1 < j:
-            body = A2[s1:j, s0:s1]
-            matmul(1.0, X3[s1:j, :], Y[s0:s1, :].T, 1.0, body)
-            matmul(1.0, Y[s1:j, :], X3[s0:s1, :].T, 1.0, body)
+            matmul(1.0, L[s1:j], R[s0:s1].T, 1.0, A2[s1:j, s0:s1])
         d = s1 - s0
         lower = np.tri(d, dtype=bool)
         head = np.where(lower, A2[s0:s1, s0:s1], 0.0)
-        _accumulate(X3[s0:s1, :], Y[s0:s1, :].T, head)
-        _accumulate(Y[s0:s1, :], X3[s0:s1, :].T, head)
+        _accumulate(L[s0:s1], R[s0:s1].T, head)
         np.copyto(A2[s0:s1, s0:s1], head, where=lower)
         FLOPS.add("syr2k", 2 * k * d * (d + 1))
 

@@ -26,6 +26,7 @@ from bandred import (
 from bandred import sevp
 from bandred.kernels import (
     CHAIN_BLOCK,
+    COL_TILE,
     ROW_TILE,
     SCRATCH,
     SYM_STRIP,
@@ -132,15 +133,21 @@ def _bits(a):
 
 
 @pytest.fixture(scope="module")
-def two_workers():
+def pool_workers():
+    """Workers handles by count on one pool: 0 is no handle at all. Counts 0
+    and 1 sum a whole output in one sweep, 2 shares its tiles."""
     with ExecGroups(2, 0) as groups:
-        yield Workers(groups._all, 2)
+        yield {0: None, 1: Workers(groups._all, 1), 2: Workers(groups._all, 2)}
+
+
+WORKER_COUNTS = st.sampled_from([0, 1, 2])
 
 
 def _edge_dims(draw):
     """(m, k, n) on or next to an inner-chunk or column-tile edge of the
-    scratch stack, on both sides of the accumulate/slot-add split."""
-    rows = draw(st.sampled_from([1, 2, 5, 16, 64, ROW_TILE]))
+    scratch stack, on both sides of the accumulate/slot-add split. Rows past
+    ROW_TILE reach _accumulate whole on one worker."""
+    rows = draw(st.sampled_from([1, 2, 5, 16, 64, ROW_TILE, 200, 2 * ROW_TILE + 1, 352]))
     nudge = st.sampled_from([-1, 0, 1])
     if draw(st.booleans()):  # chain path: small C, long chunks
         n = max(1, min(CHAIN_BLOCK // rows + draw(nudge), 300))
@@ -169,7 +176,7 @@ def _matmul_case(draw):
         layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
         alpha=draw(st.sampled_from([1.0, -1.0, 0.5, 0.0])),
         beta=draw(st.sampled_from([0.0, 1.0, -1.0, 2.5])),
-        threaded=draw(st.booleans()),
+        workers=draw(WORKER_COUNTS),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -182,7 +189,7 @@ def _counted(fn, *args, **kw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_matmul_case())
-def test_matmul_matches_loop_oracle_bitwise(case, two_workers):
+def test_matmul_matches_loop_oracle_bitwise(case, pool_workers):
     m, k, n = case["dims"]
     rng = np.random.default_rng(case["seed"])
     la, lb, lc = case["layouts"]
@@ -190,7 +197,7 @@ def test_matmul_matches_loop_oracle_bitwise(case, two_workers):
     B = _laid_out(_values(rng, (k, n)), lb)
     C0 = _values(rng, (m, n))
     got, want = _laid_out(C0, lc), _laid_out(C0, lc)
-    workers = two_workers if case["threaded"] else None
+    workers = pool_workers[case["workers"]]
     got_flops = _counted(matmul, case["alpha"], A, B, case["beta"], got, workers)
     want_flops = _counted(_matmul_loop, case["alpha"], A, B, case["beta"], want)
     assert np.array_equal(_bits(got), _bits(want))
@@ -206,14 +213,14 @@ def _syr2k_case(draw):
         b=draw(st.integers(0, 24)),
         cols=(c0, draw(st.integers(c0, j))),
         layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
-        threaded=draw(st.booleans()),
+        workers=draw(WORKER_COUNTS),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_syr2k_case())
-def test_syr2k_lower_matches_per_column_oracle_bitwise(case, two_workers):
+def test_syr2k_lower_matches_per_column_oracle_bitwise(case, pool_workers):
     j, b = case["j"], case["b"]
     rng = np.random.default_rng(case["seed"])
     la, lx, ly = case["layouts"]
@@ -221,10 +228,90 @@ def test_syr2k_lower_matches_per_column_oracle_bitwise(case, two_workers):
     X3 = _laid_out(_values(rng, (j, b)), lx)
     Y = _laid_out(_values(rng, (j, b)), ly)
     got, want = _laid_out(S0, la), _laid_out(S0, la)
-    workers = two_workers if case["threaded"] else None
+    workers = pool_workers[case["workers"]]
     got_flops = _counted(syr2k_lower, got, X3, Y, *case["cols"], workers)
     want_flops = _counted(_syr2k_loop, want, X3, Y, *case["cols"])
     assert np.array_equal(_bits(got), _bits(want))  # the upper triangle included
+    assert got_flops == want_flops
+
+
+@st.composite
+def _symm_case(draw):
+    edge = draw(st.sampled_from([SYM_STRIP, ROW_TILE, 2 * ROW_TILE, 3 * ROW_TILE]))
+    j = draw(st.one_of(st.integers(1, 3 * ROW_TILE), st.sampled_from([edge - 1, edge + 1])))
+    return dict(
+        j=j,
+        b=draw(st.integers(0, 24)),
+        layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
+        workers=draw(WORKER_COUNTS),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_symm_case())
+def test_symm_lower_matches_loop_oracle_on_densified_operand_bitwise(case, pool_workers):
+    """symm_lower gives the bits of the per-index loop over the operand
+    densified from the lower triangle, whatever the zero signs in it; a NaN
+    in the strict upper triangle shows any read of it."""
+    j, b = case["j"], case["b"]
+    rng = np.random.default_rng(case["seed"])
+    la, lw, lo = case["layouts"]
+    S0 = _values(rng, (j, j))
+    S0[np.triu_indices(j, 1)] = np.nan
+    S = _laid_out(S0, la)
+    W = _laid_out(_values(rng, (j, b)), lw)
+    out0 = _values(rng, (j, b))
+    got, want = _laid_out(out0, lo), _laid_out(out0, lo)
+    got_flops = _counted(symm_lower, S, W, got, pool_workers[case["workers"]])
+    want_flops = _counted(_matmul_loop, 1.0, _densify(S0), W, 0.0, want)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert got_flops == want_flops
+
+
+def _wy_loop(side, A, f):
+    """apply_wy_left/right as two loop matmuls over the whole of A."""
+    b = f.y.shape[1]
+    if side == "left":
+        t1 = np.zeros((b, A.shape[1]), order="F")
+        _matmul_loop(1.0, f.w.T, A, 0.0, t1)
+        _matmul_loop(1.0, f.y, t1, 1.0, A)
+    else:
+        t1 = np.zeros((A.shape[0], b), order="F")
+        _matmul_loop(1.0, A, f.w, 0.0, t1)
+        _matmul_loop(1.0, t1, f.y.T, 1.0, A)
+
+
+@st.composite
+def _wy_case(draw):
+    edge = draw(st.sampled_from([COL_TILE, ROW_TILE, 2 * ROW_TILE, 352]))
+    return dict(
+        side=draw(st.sampled_from(["left", "right"])),
+        j=draw(st.integers(1, 200)),
+        b=draw(st.integers(1, 16)),
+        other=draw(st.one_of(st.integers(1, 352), st.sampled_from([edge - 1, edge, edge + 1]))),
+        layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
+        workers=draw(WORKER_COUNTS),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_wy_case())
+def test_apply_wy_matches_loop_oracle_bitwise(case, pool_workers):
+    """One sweep (no handle, one worker) and shared tiles (two workers) give
+    the loop's bits on both sides; `other` is the tiled dimension of A."""
+    j, b, other = case["j"], case["b"], case["other"]
+    rng = np.random.default_rng(case["seed"])
+    la, ly, lw = case["layouts"]
+    Y, W = (_laid_out(_values(rng, (j, b)), lay) for lay in (ly, lw))
+    f = SimpleNamespace(y=Y, w=W)
+    A0 = _values(rng, (j, other) if case["side"] == "left" else (other, j))
+    got, want = _laid_out(A0, la), _laid_out(A0, la)
+    apply = apply_wy_left if case["side"] == "left" else apply_wy_right
+    got_flops = _counted(apply, got, f, pool_workers[case["workers"]])
+    want_flops = _counted(_wy_loop, case["side"], want, f)
+    assert np.array_equal(_bits(got), _bits(want))
     assert got_flops == want_flops
 
 

@@ -236,6 +236,22 @@ def test_counted_flops_track_nominal():
     assert abs(res.flops["total"] - nominal) <= 0.05 * nominal
 
 
+# Counted flops of n=96, w=16, b=8, one class at a time: the schedules
+# share every task body, so all three variants count the same, and a kernel
+# that moved work between classes (a syr2k body outside matmul, say) shows.
+PINNED_FLOPS_96 = {"matmul": 2123712, "house": 9720, "syr2k": 352128, "total": 2485560}
+
+
+@pytest.mark.filterwarnings("ignore:V2 with 2b <= w:RuntimeWarning")
+@pytest.mark.parametrize("threads", [None, 2, 3])
+@pytest.mark.parametrize("variant", list(SevpVariant))
+def test_flops_per_class_are_pinned(variant, threads):
+    cfg = _cfg(96, 16, 8, variant, accumulate_q=True)
+    res = _run(gen_sym(96, 0), cfg, threads)
+    res = res if threads is None else res[0]
+    assert res.flops == PINNED_FLOPS_96
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_lower_triangle_is_rejected(bad):
     A = _sym(24, 5)

@@ -322,6 +322,32 @@ def test_nominal_flops_formula():
         svd_nominal_flops(6, 7)
 
 
+# Counted flops of a 120x80, w=16, b=8 reduction, one class at a time; V1
+# runs the Reference's tasks, Simultaneous forms the Z products instead.
+PINNED_FLOPS_120x80 = {
+    SvdVariant.REFERENCE: {"matmul": 2040768, "house": 21720, "syr2k": 0, "total": 2062488},
+    SvdVariant.V1: {"matmul": 2040768, "house": 21720, "syr2k": 0, "total": 2062488},
+    SvdVariant.SIMULTANEOUS: {"matmul": 2155456, "house": 21720, "syr2k": 0, "total": 2177176},
+}
+
+
+@pytest.mark.parametrize("threads", [None, 3])
+@pytest.mark.parametrize("variant", list(PINNED_FLOPS_120x80))
+def test_band_flops_per_class_are_pinned(variant, threads):
+    A, cfg = gen_general(120, 80, 0), _cfg(120, 80, 16, 8, variant)
+    if threads is None:
+        res = reduce_band_svd(A, cfg)
+    else:
+        with ExecGroups(threads, 1) as groups:
+            res = reduce_band_svd(A, cfg, groups)
+    assert res.flops == PINNED_FLOPS_120x80[variant]
+
+
+def test_tri_flops_per_class_are_pinned():
+    tri = reduce_tri_band(gen_general(120, 80, 0), 16, 8).flops
+    assert tri == {"matmul": 2263488, "house": 25560, "syr2k": 0, "total": 2289048}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("shape", [(24, 16), (16, 24)])
 def test_non_finite_input_is_rejected(bad, shape):
