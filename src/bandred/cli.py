@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .depgraph import analyze_overlap, build_dag, enumerate_tasks, to_dot
-from .oracles import band_check, jacobi_eigen, jacobi_svd, spectra_match
+from .oracles import band_check, spectra_match
 from .runtime import EventTrace, ExecGroups
 from .sevp import SevpConfig, SevpVariant, reduce_sym_band, sevp_nominal_flops
 from .svd import SvdConfig, SvdForm, SvdVariant, reduce_band_svd, svd_nominal_flops
@@ -125,8 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ts", type=int, default=1,
                    help="workers in the sequential group (0: no look-ahead)")
     p.add_argument("--verify", action="store_true",
-                   help="check spectrum/singular values against the Jacobi "
-                        "oracles and the band profile; failures exit 1")
+                   help="check spectrum/singular values against NumPy's "
+                        "LAPACK and the band profile; failures exit 1")
     p.add_argument("--dump", metavar="FILE", help="write the input matrix")
     p.add_argument("--load", metavar="FILE",
                    help="read the input matrix instead of generating it")
@@ -161,8 +161,8 @@ def _legal_blocks(args, parser) -> list[int]:
 
 
 def _verify_sevp(a_in, band, w):
-    ref = jacobi_eigen(a_in)
-    got = jacobi_eigen(band)
+    ref = np.linalg.eigvalsh(a_in)
+    got = np.linalg.eigvalsh(band)
     scale = max(float(np.max(np.abs(ref))), np.finfo(np.float64).tiny)
     ok, dev = spectra_match(ref, got, 1e-11 * scale)
     off = band_check(band, w, w)
@@ -170,8 +170,8 @@ def _verify_sevp(a_in, band, w):
 
 
 def _verify_svd(a_in, result):
-    ref = jacobi_svd(a_in)
-    got = jacobi_svd(result.band)
+    ref = np.linalg.svd(a_in, compute_uv=False)
+    got = np.linalg.svd(result.band, compute_uv=False)
     scale = max(float(ref[0]) if ref.size else 0.0, np.finfo(np.float64).tiny)
     ok, dev = spectra_match(ref, got, 1e-11 * scale)
     off = band_check(result.band, result.lower_bw, result.upper_bw)
@@ -208,11 +208,6 @@ def _run_bench(args, parser) -> int:
         parser.error("--threads must be positive")
     if not 0 <= args.ts <= args.threads:
         parser.error("--ts must lie in [0, threads]")
-    if args.verify:
-        if is_sevp and n > 256:
-            parser.error("--verify supports n <= 256 for SEVP (oracle scale)")
-        if not is_sevp and min(m, n) > 128:
-            parser.error("--verify supports min(m, n) <= 128 for SVD")
 
     blocks = _legal_blocks(args, parser)
     configs = []

@@ -1,0 +1,165 @@
+"""Static look-ahead: one planner turns per-iteration task streams into phases.
+
+A reduction hands the planner a stream per iteration: that iteration's
+tasks in Reference order. Panels are the stream's tasks whose reads equal
+their writes; products are its tasks that write only buffers, not A or Q.
+An update of A the planner may cut is an Update: its box and a function
+that makes the task for any sub-box.
+
+The Reference schedule runs each stream as one phase on the parallel list.
+The look-ahead variants factor iteration k+1's panels on the sequential
+group while the parallel group runs the rest of iteration k. V1 and V2
+differ only in where those panels fall: inside the block update (2b <= w)
+or spilling into the trailing update (2b > w). One rule covers both:
+
+  Prologue     a "prologue" phase runs iteration 0's panels; iteration k
+               then drops its own panels, which already ran.
+  V2 phase 1   under V2, when iteration k has products, the stream prefix
+               through the last product is phase iter@k/p1: ON_TS puts
+               the other tasks on the sequential list and the products on
+               the parallel one, ON_ALL everything on the parallel one.
+               The rest is iter@k/p2. Otherwise iteration k is one phase,
+               iter@k.
+  Cut          every update is cut at the next iteration's row cut (the
+               row end of its LQ panel) and column cut (the column end of
+               its QR panel). Cells above the row cut or left of the
+               column cut go to the sequential list, in column-major cell
+               order, and so do updates lying wholly there; everything
+               else goes to the parallel list in stream order.
+  Next panels  each goes on the sequential list after the head pieces of
+               the last update whose heads it reads, or else after the
+               first stream item's heads, keeping stream order.
+
+An update the cut touches becomes <id-base>-head (-head1, -head2, ... when
+there are several) on the sequential list and <id-base>-rest on the
+parallel one; an update the cut misses keeps its id.
+"""
+
+from dataclasses import dataclass
+from enum import Enum
+
+from .runtime import PhasePlan, Task
+
+
+class V2Mapping(Enum):
+    """Placement of V2's phase-1 block updates (the mid block in the
+    symmetric reduction, B1/C1 in the general one): ON_TS runs them on the
+    sequential group concurrently with the products on the parallel group;
+    ON_ALL runs everything in order on the combined pool."""
+
+    ON_TS = "on_ts"
+    ON_ALL = "on_all"
+
+
+@dataclass
+class Update:
+    """An update of A's box rows x cols. make(rows, cols, tag) builds the
+    task for any sub-box, tag appended to the id base ("" keeps the id)."""
+
+    rows: tuple
+    cols: tuple
+    make: object
+
+    def whole(self):
+        return self.make(self.rows, self.cols, "")
+
+
+@dataclass
+class Stream:
+    """One iteration's tasks and Updates in Reference order, and where its
+    panels cut the previous iteration's updates: row_cut is the row end of
+    its LQ panel, col_cut the column end of its QR panel, 0 without one."""
+
+    items: list
+    row_cut: int = 0
+    col_cut: int = 0
+
+
+def _task(item):
+    return item.whole() if isinstance(item, Update) else item
+
+
+def _is_panel(item):
+    return isinstance(item, Task) and item.reads == item.writes
+
+
+def _is_product(item):
+    return isinstance(item, Task) and all(s.target not in ("A", "Q") for s in item.writes)
+
+
+def _split(span, cut):
+    lo, hi = span
+    return [(lo, cut), (cut, hi)] if lo < cut < hi else [span]
+
+
+def _reads_any(task, others):
+    return any(r.intersects(w) for o in others for w in o.writes for r in task.reads)
+
+
+def _cut(items, nxt, label):
+    """Iteration phase of items: each cut at nxt's lines, nxt's panels
+    placed on the sequential list."""
+    heads = []  # per item: its pieces on the sequential list
+    par = []
+    for it in items:
+        cells = ahead = []
+        if isinstance(it, Update):
+            rows = _split(it.rows, nxt.row_cut)
+            cells = [(r, c) for c in _split(it.cols, nxt.col_cut) for r in rows]
+            ahead = [(r, c) for r, c in cells if r[1] <= nxt.row_cut or c[1] <= nxt.col_cut]
+        if not ahead:
+            par.append(_task(it))
+        elif ahead == cells:
+            ahead = [it.whole()]
+        else:
+            tags = ["-head"] if len(ahead) == 1 else [f"-head{i + 1}" for i in range(len(ahead))]
+            ((rows, cols),) = [cell for cell in cells if cell not in ahead]
+            par.append(it.make(rows, cols, "-rest"))
+            ahead = [it.make(r, c, tag) for (r, c), tag in zip(ahead, tags)]
+        heads.append(ahead)
+
+    heads = heads or [[]]
+    after = [[] for _ in heads]
+    at = 0
+    for panel in filter(_is_panel, nxt.items):
+        hits = [i for i, pieces in enumerate(heads) if _reads_any(panel, pieces)]
+        at = max(at, hits[-1] if hits else 0)
+        after[at].append(panel)
+    seq = [t for pieces, panels in zip(heads, after) for t in pieces + panels]
+    return PhasePlan(seq, par, label=label)
+
+
+def plan(stream, ks, lookahead=False, v2_mapping=None):
+    """Yield the PhasePlans of a run over the leading columns ks.
+
+    stream(k) builds iteration k's Stream; it is called once per iteration,
+    at most one iteration ahead of the phase being planned. lookahead=False
+    gives the Reference (or Simultaneous) schedule of the streams;
+    lookahead=True gives V1 when v2_mapping is None and V2 with that
+    mapping otherwise. Planning runs no task.
+    """
+    if not lookahead:
+        for k in ks:
+            yield PhasePlan([], [_task(it) for it in stream(k).items], label=f"iter@{k}")
+        return
+    if not ks:
+        return
+    cur = stream(ks[0])
+    yield PhasePlan([], list(filter(_is_panel, cur.items)), label="prologue")
+    for idx, k in enumerate(ks):
+        nxt = stream(ks[idx + 1]) if idx + 1 < len(ks) else Stream([])
+        items = [it for it in cur.items if not _is_panel(it)]
+        label = f"iter@{k}"
+        last = max((i for i, it in enumerate(items) if _is_product(it)), default=None)
+        if v2_mapping is not None and last is not None:
+            lead = [_task(it) for it in items[: last + 1]]
+            items = items[last + 1 :]
+            if v2_mapping is V2Mapping.ON_TS:
+                seq = [t for t in lead if not _is_product(t)]
+                par = [t for t in lead if _is_product(t)]
+            else:
+                seq, par = [], lead
+            yield PhasePlan(seq, par, label=f"{label}/p1")
+            label += "/p2"
+        yield _cut(items, nxt, label)
+        cur = nxt

@@ -7,18 +7,21 @@ A[k+w:n, k+w:n] (lower triangle authoritative) through the four-step
 X1/X2/X3 + rank-2k form. Only the lower triangle is touched; the result is
 mirrored and off-band entries are zeroed exactly at the end.
 
-Three schedules over identical task bodies:
+Each iteration's tasks, in Reference order, form its stream (_stream);
+bandred.lookahead.plan turns the streams into phases for three schedules
+over identical task bodies:
 
-  Reference  everything in program order on the full pool.
-  V1         (needs 2b <= w) the next panel lies inside the mid block, so
-             the sequential group updates the mid block's leading columns
-             and factors the next panel while the parallel group does the
-             rest of the mid block and the whole trailing update.
-  V2         (any b <= w, intended for 2b > w) the next panel spills into
-             the trailing block: phase 1 updates the mid block and forms
-             X1..X3; phase 2 lets the sequential group update the spilled-
-             into leading trailing columns and factor the next panel while
-             the parallel group updates the remaining trailing columns.
+  Reference  every stream in order on the full pool.
+  V1, V2     the sequential group factors the next panel while the
+             parallel group runs the rest of the iteration. One rule
+             places the next panel: each update is cut at the panel's
+             column end, and the part left of it runs first on the
+             sequential group. With 2b <= w (V1) the panel lies inside the
+             mid block, so the mid block is cut; with 2b > w (V2) it
+             spills into the trailing block, so the trailing update is
+             cut. V2 first runs a phase that updates the mid block (on
+             the sequential group under V2Mapping.ON_TS) while the
+             parallel group forms X1..X3.
 
 Because every update kernel is bitwise split-stable (see kernels), the three
 schedules produce bitwise-identical bands when serialized; with real
@@ -35,23 +38,14 @@ import numpy as np
 
 from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
-from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
+from .lookahead import Stream, Update, V2Mapping, plan
+from .runtime import EventTrace, ExecGroups, Span, Task, run_phase
 
 
 class SevpVariant(Enum):
     REFERENCE = "reference"
     V1 = "v1"
     V2 = "v2"
-
-
-class V2Mapping(Enum):
-    """Placement of V2's phase-1 block updates (the mid block here; B1/C1 in
-    the general-matrix reduction): ON_TS runs them on the sequential group
-    concurrently with the X products on the parallel group; ON_ALL runs
-    everything in order on the combined pool."""
-
-    ON_TS = "on_ts"
-    ON_ALL = "on_all"
 
 
 @dataclass
@@ -202,89 +196,29 @@ def _syr2k_task(state, k, X3, c0, c1, tag):
     return Task(f"trail{tag}@{k}", fn, [span], [_panel(state, k), x3, span])
 
 
-# --- schedules ------------------------------------------------------------
+# --- the iteration's task stream -----------------------------------------
 
 
-def _run_reference(state, cfg, groups, ks):
-    for k in ks:
-        bp = _bp(state, k)
-        j = state.n - k - state.w
-        tasks = [_qr_task(state, k, bp)]
-        if state.Q is not None:
-            tasks.append(_q_task(state, k))
-        if k + bp < k + state.w:
-            tasks.append(_mid_task(state, k, k + bp, k + state.w, ""))
-        xt, X3 = _x_tasks(state, k, bp, j)
-        tasks.extend(xt)
-        tasks.append(_syr2k_task(state, k, X3, 0, j, ""))
-        run_phase(PhasePlan([], tasks, label=f"iter@{k}"), groups)
+def _stream(state, k):
+    """Iteration k's tasks in Reference order. With no LQ panel there is no
+    row cut, so the trailing update is only cut into column strips, each
+    the lower part of its columns."""
+    n, w = state.n, state.w
+    bp, t = _bp(state, k), k + w
+    qr = _qr_task(state, k, bp)
+    items = [qr]
+    if state.Q is not None:
+        items.append(_q_task(state, k))
+    if bp < w:
+        items.append(Update((t, n), (k + bp, t), lambda r, c, tag: _mid_task(state, k, *c, tag)))
+    xt, X3 = _x_tasks(state, k, bp, n - t)
+    items.extend(xt)
 
+    def trail(rows, cols, tag):
+        return _syr2k_task(state, k, X3, cols[0] - t, cols[1] - t, tag)
 
-def _run_v1(state, cfg, groups, ks):
-    run_phase(
-        PhasePlan([], [_qr_task(state, ks[0], _bp(state, ks[0]))], label="prologue"),
-        groups,
-    )
-    for idx, k in enumerate(ks):
-        bp = _bp(state, k)
-        j = state.n - k - state.w
-        kn = ks[idx + 1] if idx + 1 < len(ks) else None
-        seq = []
-        par = []
-        if state.Q is not None:
-            par.append(_q_task(state, k))
-        mid0, mid1 = k + bp, k + state.w
-        if kn is not None:
-            # next panel's columns live inside the mid block (2b <= w):
-            # bring them up to date and factor ahead on the sequential group
-            bpn = _bp(state, kn)
-            seq.append(_mid_task(state, k, kn, kn + bpn, "-head"))
-            seq.append(_qr_task(state, kn, bpn))
-            if kn + bpn < mid1:
-                par.append(_mid_task(state, k, kn + bpn, mid1, "-rest"))
-        elif mid0 < mid1:
-            par.append(_mid_task(state, k, mid0, mid1, ""))
-        xt, X3 = _x_tasks(state, k, bp, j)
-        par.extend(xt)
-        par.append(_syr2k_task(state, k, X3, 0, j, ""))
-        run_phase(PhasePlan(seq, par, label=f"iter@{k}"), groups)
-
-
-def _run_v2(state, cfg, groups, ks):
-    run_phase(
-        PhasePlan([], [_qr_task(state, ks[0], _bp(state, ks[0]))], label="prologue"),
-        groups,
-    )
-    for idx, k in enumerate(ks):
-        bp = _bp(state, k)
-        j = state.n - k - state.w
-        kn = ks[idx + 1] if idx + 1 < len(ks) else None
-        bpn = _bp(state, kn) if kn is not None else 0
-
-        lead = []
-        if state.Q is not None:
-            lead.append(_q_task(state, k))
-        if k + bp < k + state.w:
-            lead.append(_mid_task(state, k, k + bp, k + state.w, ""))
-        xt, X3 = _x_tasks(state, k, bp, j)
-        if cfg.v2_mapping == V2Mapping.ON_TS and lead:
-            run_phase(PhasePlan(lead, list(xt), label=f"iter@{k}/p1"), groups)
-        else:
-            run_phase(PhasePlan([], lead + list(xt), label=f"iter@{k}/p1"), groups)
-
-        # phase 2: trailing update, with the columns the next panel spills
-        # into (width bp + bpn - w when positive) done first on the
-        # sequential group, ahead of that panel's factorization
-        split = max(0, bp + bpn - state.w)
-        seq = []
-        if split > 0:
-            seq.append(_syr2k_task(state, k, X3, 0, split, "-lead"))
-        if kn is not None:
-            seq.append(_qr_task(state, kn, bpn))
-        par = []
-        if split < j:
-            par.append(_syr2k_task(state, k, X3, split, j, ""))
-        run_phase(PhasePlan(seq, par, label=f"iter@{k}/p2"), groups)
+    items.append(Update((t, n), (t, n), trail))
+    return Stream(items, col_cut=qr.writes[0].cols[1])
 
 
 def _finalize(A, n, w):
@@ -304,8 +238,9 @@ def reduce_sym_band(A, cfg, groups=None):
     Only A's lower triangle is read; a NaN or Inf in it raises ValueError,
     since it would spread through the whole band. Returns the band matrix
     (full storage, off-band exactly zero), the accumulated orthogonal factor
-    when cfg.accumulate_q, and the flop counts of this run. If n <= w + 1 the
-    input is already within the band and is returned unchanged.
+    when cfg.accumulate_q, and the flop counts of this run. If n <= w + 1 no
+    iteration runs: the band is the lower triangle mirrored and Q the
+    identity.
     """
     cfg.validate()
     A = np.array(A, dtype=np.float64, order="F")
@@ -317,22 +252,19 @@ def reduce_sym_band(A, cfg, groups=None):
         raise ValueError("reduce_sym_band: the lower triangle holds NaN or Inf")
 
     ks = _schedule(cfg.n, cfg.w, cfg.b)
-    if not ks:
-        return SevpResult(band=A, q=None, flops={"total": 0}, iterations=0)
-
     own = groups is None
     if own:
         groups = ExecGroups(1, 0)
     groups.trace = EventTrace()
     state = _State(A, cfg)
+    v2_mapping = cfg.v2_mapping if cfg.variant is SevpVariant.V2 else None
+    phases = plan(
+        lambda k: _stream(state, k), ks, cfg.variant is not SevpVariant.REFERENCE, v2_mapping
+    )
     try:
         with flop_scope() as counted:
-            if cfg.variant == SevpVariant.REFERENCE:
-                _run_reference(state, cfg, groups, ks)
-            elif cfg.variant == SevpVariant.V1:
-                _run_v1(state, cfg, groups, ks)
-            else:
-                _run_v2(state, cfg, groups, ks)
+            for phase in phases:
+                run_phase(phase, groups)
     finally:
         if own:
             groups.close()

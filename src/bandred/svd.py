@@ -14,22 +14,26 @@ Band form (s = w, m >= n): the QR panel starts w rows down, so the matrix
 keeps lower bandwidth w and the left/right panel chains decouple enough for
 look-ahead at any block size.
 
-Band-form schedules over identical task bodies:
+Each iteration's tasks, in Reference order, form its stream (_band_stream);
+bandred.lookahead.plan turns the streams into phases. Band-form schedules
+over identical task bodies:
 
   Reference     QR, left(B1), left(D), LQ, right(C1), right(D) in order
                 (the triangular-band form's only schedule).
   Simultaneous  the two D applications fused into one pass over D:
                 Z_L = D^T W_U, Z_R = D W_V, X = Z_R + Y_U (Z_L^T W_V),
                 D += X Y_V^T + Y_U Z_L^T.
-  V1            (2b <= w) next panels lie inside B1/C1: the sequential group
-                updates B1's and C1's leading slices and factors both next
-                panels while the parallel group does the rest (D updated the
-                Reference way, left then right).
-  V2            (intended 2b > w) Simultaneous baseline: next panels spill
-                into D, so after phase 1 (B1, C1, Z/X products) the D update
-                is split 2x2 at the spill boundaries; the sequential group
-                updates D11, D21, D12 and factors the next panels while the
-                parallel group updates the large D22.
+  V1, V2        the sequential group factors the next QR and LQ panels
+                while the parallel group runs the rest of the iteration.
+                One rule places them: each update is cut at the next QR
+                panel's column end and the next LQ panel's row end, and
+                the cells left of or above the cuts run first on the
+                sequential group. V1 (2b <= w) cuts the Reference stream,
+                where the next panels lie inside B1 and C1; V2 (intended
+                for 2b > w) cuts the Simultaneous stream, where they spill
+                into D, so D is cut 2x2. V2 first runs a phase that updates
+                B1 and C1 (on the sequential group under V2Mapping.ON_TS)
+                while the parallel group forms the Z/X products.
 
 Serialized, V1 is bitwise equal to Reference and V2 to Simultaneous (the
 splits only repartition split-stable kernels); Reference and Simultaneous
@@ -47,8 +51,8 @@ import numpy as np
 
 from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
-from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
-from .sevp import V2Mapping
+from .lookahead import Stream, Update, V2Mapping, plan
+from .runtime import EventTrace, ExecGroups, Span, Task, run_phase
 
 
 class SvdForm(Enum):
@@ -251,151 +255,58 @@ def _dsub_task(state, k, ZL, X, r0, r1, c0, c1, tag):
     return Task(f"dsub{tag}@{k}", fn, [span], reads)
 
 
-# --- schedules ---------------------------------------------------------------
+# --- the iteration's task stream ------------------------------------------
 
 
-def _run_band_reference(state, groups, ks):
-    m, n, w = state.m, state.n, state.w
-    for k in ks:
-        bp, jr, bq = _band_geom(state, k)
-        tasks = [_qr0_task(state, k, bp)]
-        b1end = min(k + w, n)
-        if k + bp < b1end:
-            tasks.append(_left_task(state, k, k + bp, b1end, "-b1"))
-        if jr >= 1:
-            tasks.append(_left_task(state, k, k + w, n, "-d"))
-            tasks.append(_lq0_task(state, k, bq))
-            if k + bq < k + w:
-                tasks.append(_right_task(state, k, k + bq, k + w, "-c1"))
-            tasks.append(_right_task(state, k, k + w, m, "-d"))
-        run_phase(PhasePlan([], tasks, label=f"iter@{k}"), groups)
+def _band_stream(state, k, fused):
+    """Iteration k's tasks in Reference order: the two D applications one
+    after the other, or fused into one pass (Simultaneous)."""
+    m, n, w, s = state.m, state.n, state.w, state.s
+    bp, jr, bq = _band_geom(state, k)
+    qr = _qr0_task(state, k, bp)
+    stream = Stream([qr], col_cut=qr.writes[0].cols[1])
 
+    def left(c0, c1, base):
+        return Update(
+            (k + s, m), (c0, c1), lambda r, c, tag: _left_task(state, k, *c, base + tag)
+        )
 
-def _run_band_simultaneous(state, groups, ks):
-    m, n, w = state.m, state.n, state.w
-    for k in ks:
-        bp, jr, bq = _band_geom(state, k)
-        tasks = [_qr0_task(state, k, bp)]
-        b1end = min(k + w, n)
-        if k + bp < b1end:
-            tasks.append(_left_task(state, k, k + bp, b1end, "-b1"))
-        if jr >= 1:
-            tasks.append(_lq0_task(state, k, bq))
-            if k + bq < k + w:
-                tasks.append(_right_task(state, k, k + bq, k + w, "-c1"))
-            fused, (ZL, X) = _fused_tasks(state, k, bp, jr, bq)
-            tasks.extend(fused)
-            tasks.append(_dsub_task(state, k, ZL, X, 0, m - k - w, 0, jr, "-d"))
-        run_phase(PhasePlan([], tasks, label=f"iter@{k}"), groups)
+    def right(r0, r1, base):
+        return Update(
+            (r0, r1), (k + w, n), lambda r, c, tag: _right_task(state, k, *r, base + tag)
+        )
 
+    b1end = min(k + w, n)
+    if k + bp < b1end:
+        stream.items.append(left(k + bp, b1end, "-b1"))
+    if jr < 1:
+        return stream
+    lq = _lq0_task(state, k, bq)
+    stream.row_cut = lq.writes[0].rows[1]
+    if not fused:
+        stream.items.append(left(k + w, n, "-d"))
+    stream.items.append(lq)
+    if k + bq < k + w:
+        stream.items.append(right(k + bq, k + w, "-c1"))
+    if not fused:
+        stream.items.append(right(k + w, m, "-d"))
+        return stream
+    products, (ZL, X) = _fused_tasks(state, k, bp, jr, bq)
+    stream.items.extend(products)
 
-def _run_band_v1(state, groups, ks):
-    m, n, w = state.m, state.n, state.w
-    k0 = ks[0]
-    bp0, jr0, bq0 = _band_geom(state, k0)
-    pro = [_qr0_task(state, k0, bp0)]
-    if jr0 >= 1:
-        pro.append(_lq0_task(state, k0, bq0))
-    run_phase(PhasePlan([], pro, label="prologue"), groups)
-    for idx, k in enumerate(ks):
-        bp, jr, bq = _band_geom(state, k)
-        kn = ks[idx + 1] if idx + 1 < len(ks) else None
-        seq = []
-        par = []
-        b1end = min(k + w, n)
-        if kn is not None:
-            # next panels sit inside B1/C1 (2b <= w): sequential group brings
-            # their slices up to date and factors ahead
-            bpn, jrn, bqn = _band_geom(state, kn)
-            seq.append(_left_task(state, k, kn, kn + bpn, "-b1head"))
-            seq.append(_qr0_task(state, kn, bpn))
-            if kn + bpn < b1end:
-                par.append(_left_task(state, k, kn + bpn, b1end, "-b1rest"))
-        elif k + bp < b1end:
-            par.append(_left_task(state, k, k + bp, b1end, "-b1"))
-        if jr >= 1:
-            par.append(_left_task(state, k, k + w, n, "-d"))
-            if kn is not None and jrn >= 1:
-                seq.append(_right_task(state, k, kn, kn + bqn, "-c1head"))
-                seq.append(_lq0_task(state, kn, bqn))
-                if kn + bqn < k + w:
-                    par.append(_right_task(state, k, kn + bqn, k + w, "-c1rest"))
-            elif k + bq < k + w:
-                par.append(_right_task(state, k, k + bq, k + w, "-c1"))
-            par.append(_right_task(state, k, k + w, m, "-d"))
-        run_phase(PhasePlan(seq, par, label=f"iter@{k}"), groups)
+    def dsub(r, c, tag):
+        return _dsub_task(state, k, ZL, X, *(i - k - w for i in (*r, *c)), "-d" + tag)
 
-
-def _run_band_v2(state, cfg, groups, ks):
-    m, n, w = state.m, state.n, state.w
-    k0 = ks[0]
-    bp0, jr0, bq0 = _band_geom(state, k0)
-    pro = [_qr0_task(state, k0, bp0)]
-    if jr0 >= 1:
-        pro.append(_lq0_task(state, k0, bq0))
-    run_phase(PhasePlan([], pro, label="prologue"), groups)
-    for idx, k in enumerate(ks):
-        bp, jr, bq = _band_geom(state, k)
-        i = m - k - w
-        kn = ks[idx + 1] if idx + 1 < len(ks) else None
-        bpn = jrn = bqn = 0
-        if kn is not None:
-            bpn, jrn, bqn = _band_geom(state, kn)
-        b1end = min(k + w, n)
-
-        if jr < 1:
-            # no columns right of the band: left-only tail, single phase
-            seq = []
-            par = []
-            if kn is not None:
-                seq.append(_left_task(state, k, kn, kn + bpn, "-b1head"))
-                seq.append(_qr0_task(state, kn, bpn))
-                if kn + bpn < b1end:
-                    par.append(_left_task(state, k, kn + bpn, b1end, "-b1rest"))
-            elif k + bp < b1end:
-                par.append(_left_task(state, k, k + bp, b1end, "-b1"))
-            run_phase(PhasePlan(seq, par, label=f"iter@{k}"), groups)
-            continue
-
-        lead = []
-        if k + bp < b1end:
-            lead.append(_left_task(state, k, k + bp, b1end, "-b1"))
-        if k + bq < k + w:
-            lead.append(_right_task(state, k, k + bq, k + w, "-c1"))
-        fused, (ZL, X) = _fused_tasks(state, k, bp, jr, bq)
-        if cfg.v2_mapping == V2Mapping.ON_TS and lead:
-            run_phase(PhasePlan(lead, list(fused), label=f"iter@{k}/p1"), groups)
-        else:
-            run_phase(PhasePlan([], lead + list(fused), label=f"iter@{k}/p1"), groups)
-
-        # phase 2: next QR panel spills into D's leading splitc columns and
-        # next LQ panel into its leading splitr rows; those slices plus the
-        # panel factorizations run sequentially, the big D22 in parallel
-        splitc = max(0, bp + bpn - w) if kn is not None else 0
-        splitr = max(0, bp + bqn - w) if (kn is not None and jrn >= 1) else 0
-        seq = []
-        par = []
-        if splitr > 0 and splitc > 0:
-            seq.append(_dsub_task(state, k, ZL, X, 0, splitr, 0, splitc, "-d11"))
-        if splitc > 0 and splitr < i:
-            seq.append(_dsub_task(state, k, ZL, X, splitr, i, 0, splitc, "-d21"))
-        if splitr > 0 and splitc < jr:
-            seq.append(_dsub_task(state, k, ZL, X, 0, splitr, splitc, jr, "-d12"))
-        if kn is not None:
-            seq.append(_qr0_task(state, kn, bpn))
-            if jrn >= 1:
-                seq.append(_lq0_task(state, kn, bqn))
-        if splitr < i and splitc < jr:
-            par.append(_dsub_task(state, k, ZL, X, splitr, i, splitc, jr, "-d22"))
-        run_phase(PhasePlan(seq, par, label=f"iter@{k}/p2"), groups)
+    stream.items.append(Update((k + w, m), (k + w, n), dsub))
+    return stream
 
 
 def reduce_band_svd(A, cfg, groups=None):
     """Reduce A (cfg.m x cfg.n) to the form cfg selects: equal-bandwidth band
     (|i-j| <= w) or, with cfg.form = TRIANGULAR_BAND, upper triangular-band
-    (0 <= j-i <= w). In band form with m <= w + 1 nothing is off-band and the
-    input is returned unchanged. m < n reduces the transpose (see module
-    docstring). A NaN or Inf anywhere in A raises ValueError.
+    (0 <= j-i <= w). In band form with m <= w + 1 nothing is off-band, no
+    iteration runs and the band is the input. m < n reduces the transpose
+    (see module docstring). A NaN or Inf anywhere in A raises ValueError.
     """
     cfg.validate()
     A = np.array(A, dtype=np.float64, order="F")
@@ -424,22 +335,18 @@ def reduce_band_svd(A, cfg, groups=None):
     tri = cfg.form is SvdForm.TRIANGULAR_BAND
     state = _BandState(A, cfg)
     ks = _band_schedule(state)
-    if not ks and not tri:
-        return SvdResult(A, {"total": 0}, SvdForm.BAND, cfg.w, cfg.w, 0)
     own = groups is None
     if own:
         groups = ExecGroups(1, 0)
     groups.trace = EventTrace()
+    fused = cfg.variant in (SvdVariant.SIMULTANEOUS, SvdVariant.V2)
+    lookahead = cfg.variant in (SvdVariant.V1, SvdVariant.V2)
+    v2_mapping = cfg.v2_mapping if cfg.variant is SvdVariant.V2 else None
+    phases = plan(lambda k: _band_stream(state, k, fused), ks, lookahead, v2_mapping)
     try:
         with flop_scope() as counted:
-            if cfg.variant == SvdVariant.REFERENCE:
-                _run_band_reference(state, groups, ks)
-            elif cfg.variant == SvdVariant.SIMULTANEOUS:
-                _run_band_simultaneous(state, groups, ks)
-            elif cfg.variant == SvdVariant.V1:
-                _run_band_v1(state, groups, ks)
-            else:
-                _run_band_v2(state, cfg, groups, ks)
+            for phase in phases:
+                run_phase(phase, groups)
     finally:
         if own:
             groups.close()

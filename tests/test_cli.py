@@ -125,6 +125,15 @@ def test_verify_passes_and_reports_deviation():
     assert 0.0 <= float(dev) <= 1e-11 * 30  # eigenvalues of gen_sym(30) are O(n)
 
 
+def test_verify_runs_beyond_the_jacobi_oracle_scale():
+    # LAPACK checks every size: n = 300 SEVP, min(m, n) = 160 SVD
+    for args in (("--algo", "sevp-ref", "--n", "300"),
+                 ("--algo", "svd-sim", "--m", "200", "--n", "160")):
+        proc = _run(*args, "--w", "8", "--b", "4", "--verify")
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert 0.0 <= float(_rows(proc)[0][9]) <= 1e-11 * 300
+
+
 def test_triband_algo_runs_and_verifies():
     proc = _run(
         "--algo", "svd-triband", "--n", "12", "--m", "16", "--w", "2", "--b", "2",
@@ -152,7 +161,6 @@ def test_config_errors_exit_2():
         ("--algo", "sevp-ref"),  # no --n and no --load
         ("--algo", "sevp-ref", "--n", "24", "--b", "40"),  # b > w
         ("--algo", "sevp-ref", "--n", "24", "--threads", "2", "--ts", "3"),
-        ("--algo", "sevp-ref", "--n", "300", "--verify"),  # beyond oracle scale
         ("--algo", "nope", "--n", "8"),
         ("--algo", "sevp-ref", "--n", "24", "--b", "2", "--b-sweep"),
     ]

@@ -1,0 +1,195 @@
+"""The look-ahead planner, checked on plans alone: nothing here runs a task.
+
+run_phase is replaced by a recorder in sevp and svd, so each reduction
+only plans. The pinned digests fix every schedule's phases (labels, the
+group, order and declared spans of every task; not the task ids) over a
+grid of shapes; the property tests check the rules the planner promises.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+import bandred.sevp
+import bandred.svd
+from bandred import (
+    SevpConfig,
+    SevpVariant,
+    Span,
+    SvdConfig,
+    SvdForm,
+    SvdVariant,
+    V2Mapping,
+    lookahead,
+    reduce_band_svd,
+    reduce_sym_band,
+)
+from bandred.runtime import _check_hazards
+
+SEVP_N = (1, 2, 5, 9, 13, 17, 22, 29)
+SVD_MN = ((1, 1), (3, 2), (9, 9), (13, 7), (17, 17), (22, 15), (29, 23), (7, 13), (15, 22))
+WB = [(w, b) for w in range(1, 7) for b in range(1, w + 1)]
+
+SCHEDULES = [
+    ("sevp", "reference", None),
+    ("sevp", "v1", None),
+    ("sevp", "v2", "on_ts"),
+    ("sevp", "v2", "on_all"),
+    ("band", "reference", None),
+    ("band", "simultaneous", None),
+    ("band", "v1", None),
+    ("band", "v2", "on_ts"),
+    ("band", "v2", "on_all"),
+    ("triband", "reference", None),
+]
+
+# sha1 of the plans the hand-written V1/V2 planners and Reference loops
+# built over the grid above, before the one planner replaced them.
+PINNED = {
+    ("sevp", "reference", None): "2ea541e04a52189ddfd5feab397e6f8d149c879b",
+    ("sevp", "v1", None): "89f4d707a21bbcc91cca13a930750bd7e90456e5",
+    ("sevp", "v2", "on_ts"): "4f19dafd30ef7a7e0b6c155f01daaab5633fc623",
+    ("sevp", "v2", "on_all"): "6eac20949f92109d732374adc8e9d4def9a109fc",
+    ("band", "reference", None): "59965ffe1dc91a2f4346af05d8d6a09736338ded",
+    ("band", "simultaneous", None): "94451dd0fcc2f375bdcd872a762548a162b42406",
+    ("band", "v1", None): "86550e6086f78b55bc0993ce1459b070c6c08597",
+    ("band", "v2", "on_ts"): "e10d2c12f0c1db7844e7ffb1351f0a4fcafc605a",
+    ("band", "v2", "on_all"): "450ae9ad6c7aea24c9739da659c93e86bd5e9278",
+    ("triband", "reference", None): "08fa02940fb1e4723e920f3be16af102c909ff24",
+}
+
+
+def _configs(form, variant, mapping):
+    mapping = V2Mapping(mapping or "on_ts")
+    for w, b in WB:
+        if variant == "v1" and 2 * b > w:
+            continue
+        if form == "sevp":
+            for n in SEVP_N:
+                for aq in (False, True):
+                    yield SevpConfig(n, w, b, SevpVariant(variant), mapping, aq)
+        else:
+            for m, n in SVD_MN:
+                yield SvdConfig(m, n, w, b, SvdForm(form), SvdVariant(variant), mapping)
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """planned(cfg): the PhasePlans the reduction of cfg hands run_phase,
+    which records them and runs nothing."""
+    plans = []
+
+    def record(plan, groups):
+        plans.append(plan)
+        return groups.trace
+
+    for mod in (bandred.sevp, bandred.svd):
+        monkeypatch.setattr(mod, "run_phase", record)
+
+    def planned(cfg):
+        plans.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if isinstance(cfg, SevpConfig):
+                reduce_sym_band(np.zeros((cfg.n, cfg.n)), cfg)
+            else:
+                reduce_band_svd(np.zeros((cfg.m, cfg.n)), cfg)
+        return list(plans)
+
+    return planned
+
+
+def _spans(spans):
+    return tuple((s.target, s.rows, s.cols) for s in spans)
+
+
+def _plan_digest(plans_of_configs):
+    h = hashlib.sha1()
+    for plans in plans_of_configs:
+        for plan in plans:
+            tasks = [("seq", t) for t in plan.seq_tasks] + [("par", t) for t in plan.par_tasks]
+            h.update(repr(plan.label).encode())
+            for group, t in tasks:
+                h.update(repr((group, _spans(t.writes), _spans(t.reads))).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: "-".join(filter(None, s)))
+def test_plans_match_the_pinned_digest(planned, schedule):
+    got = _plan_digest(planned(cfg) for cfg in _configs(*schedule))
+    assert got == PINNED[schedule]
+
+
+@pytest.fixture
+def updates(monkeypatch):
+    """Every Update the streams build, with the cell of each task made from
+    it (keyed by the task's id())."""
+    made = []
+
+    @dataclass
+    class Recorded(lookahead.Update):
+        def __post_init__(self):
+            cells = {}
+            made.append((self, cells))
+            make = self.make
+
+            def recorded(rows, cols, tag):
+                task = make(rows, cols, tag)
+                cells[id(task)] = (rows, cols)
+                return task
+
+            self.make = recorded
+
+    for mod in (bandred.sevp, bandred.svd):
+        monkeypatch.setattr(mod, "Update", Recorded)
+    return made
+
+
+def _area(rows, cols):
+    return (rows[1] - rows[0]) * (cols[1] - cols[0])
+
+
+def _reads_from(panel, task):
+    return any(r.intersects(w) for r in panel.reads for w in task.writes)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: "-".join(filter(None, s)))
+def test_planned_phases_are_legal_and_cuts_tile_their_boxes(planned, updates, schedule):
+    """On every plan of the grid: no phase has a cross-group hazard; the
+    pieces of each update tile its box (same union, pairwise disjoint); and
+    each next panel runs on the sequential list after every piece it reads."""
+    tiled = placed = 0
+    for cfg in _configs(*schedule):
+        updates.clear()
+        plans = planned(cfg)
+        pieces = {key for _, cells in updates for key in cells}
+        for plan in plans:
+            _check_hazards(plan)
+            phase = plan.seq_tasks + plan.par_tasks
+            for i, panel in enumerate(plan.seq_tasks):
+                if panel.reads != panel.writes:
+                    continue
+                for t in phase:
+                    if id(t) in pieces and _reads_from(panel, t):
+                        assert any(t is s for s in plan.seq_tasks[:i]), (cfg, t.task_id)
+                        placed += 1
+        ran = {id(t) for plan in plans for t in plan.seq_tasks + plan.par_tasks}
+        for update, cells in updates:
+            boxes = [cell for key, cell in cells.items() if key in ran]
+            assert boxes, (cfg, update.rows, update.cols)
+            assert sum(_area(*c) for c in boxes) == _area(update.rows, update.cols)
+            for rows, cols in boxes:
+                assert update.rows[0] <= rows[0] < rows[1] <= update.rows[1]
+                assert update.cols[0] <= cols[0] < cols[1] <= update.cols[1]
+            spans = [Span("A", *cell) for cell in boxes]
+            for i, a in enumerate(spans):
+                assert not any(a.intersects(b) for b in spans[i + 1 :]), (cfg, boxes)
+            tiled += len(boxes) > 1
+    assert tiled > 0 or schedule[1] in ("reference", "simultaneous")
+    assert placed > 0 or schedule[1] in ("reference", "simultaneous")

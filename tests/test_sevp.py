@@ -50,6 +50,20 @@ def test_small_matrix_already_in_band_returned_unchanged():
     assert res.flops["total"] == 0
 
 
+def test_small_matrix_reads_only_the_lower_triangle_and_reports_q_and_flops():
+    """n <= w + 1: no iteration runs, yet the band is the lower triangle
+    mirrored, Q the identity and every flop class zero."""
+    L = np.tril(_sym(4, 3))
+    L[np.triu_indices(4, 1)] = np.nan  # never read
+    for aq in (False, True):
+        res = reduce_sym_band(L, _cfg(4, 3, 1, accumulate_q=aq))
+        assert res.iterations == 0
+        assert np.array_equal(res.band, res.band.T)
+        assert np.array_equal(np.tril(res.band), np.tril(L))
+        assert res.flops == {"matmul": 0, "house": 0, "syr2k": 0, "total": 0}
+        assert np.array_equal(res.q, np.eye(4)) if aq else res.q is None
+
+
 def test_reduction_preserves_eigenvalues_and_band_pattern():
     A = _sym(40, 1)
     ev_in = jacobi_eigen(A)
@@ -161,7 +175,7 @@ def test_v2_mapping_choice_does_not_change_bits():
 
 
 def test_v2_with_b_equal_w_leads_with_b_columns(captured_plans):
-    """b = w: the lead slice of the trailing update (the columns the next
+    """b = w: the head piece of the trailing update (the columns the next
     panel spills into, width bp + bpn - w) spans exactly b columns whenever
     the next panel is full width."""
     A = _sym(30, 11)
@@ -171,7 +185,7 @@ def test_v2_with_b_equal_w_leads_with_b_columns(captured_plans):
         t.task_id.split("@")[1]: t.writes[0].cols[1] - t.writes[0].cols[0]
         for plan in captured_plans
         for t in plan.seq_tasks
-        if t.task_id.startswith("trail-lead@")
+        if t.task_id.startswith("trail-head@")
     }
     # ks = 0,4,...,24 with a width-2 fringe panel at k = 24
     assert {k: w for k, w in widths.items() if k in {"0", "4", "8", "12", "16"}} == {

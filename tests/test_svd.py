@@ -97,6 +97,7 @@ def test_band_small_matrix_returned_unchanged():
     res = reduce_band_svd(A, _cfg(6, 5, 8, 3))
     assert res.iterations == 0
     assert np.array_equal(res.band, A)
+    assert res.flops == {"matmul": 0, "house": 0, "syr2k": 0, "total": 0}
 
 
 def test_band_oracle_square():
@@ -206,8 +207,8 @@ def test_v1_boundary_no_rest_updates_when_w_is_2b():
     A = _rand(30, 30, 16)
     with ExecGroups(2, 1) as groups:
         reduce_band_svd(A, _cfg(30, 30, 8, 4, SvdVariant.V1), groups)
-        b1rest = {r[0].split("@")[1] for r in groups.trace.find("left-b1rest@")}
-        c1rest = {r[0].split("@")[1] for r in groups.trace.find("right-c1rest@")}
+        b1rest = {r[0].split("@")[1] for r in groups.trace.find("left-b1-rest@")}
+        c1rest = {r[0].split("@")[1] for r in groups.trace.find("right-c1-rest@")}
     # ks = 0,4,...,20; bpn is full (4) for the pairs starting at k <= 12
     assert b1rest.isdisjoint({"0", "4", "8", "12"})
     assert c1rest.isdisjoint({"0", "4", "8", "12"})
@@ -223,7 +224,9 @@ def test_v1_next_panel_waits_for_its_column_update():
     ks = [0, 4, 8, 12, 16, 20]
     for k, kn in zip(ks, ks[1:]):
         qr = [r for r in trace.records if r[0] == f"qr@{kn}"]
-        head = [r for r in trace.records if r[0] == f"left-b1head@{k}"]
+        # B1's sequential piece: its head, or all of B1 when the panel fills it
+        b1 = (f"left-b1@{k}", f"left-b1-head@{k}")
+        head = [r for r in trace.records if r[1] == "seq" and r[0] in b1]
         assert len(qr) == 1 and len(head) == 1
         assert qr[0][2] > head[0][3]
 
@@ -236,7 +239,7 @@ def test_v2_d11_block_is_b_by_b_when_b_equals_w(captured_plans):
         t.task_id.split("@")[1]: t.writes[0]
         for plan in captured_plans
         for t in plan.seq_tasks
-        if t.task_id.startswith("dsub-d11@")
+        if t.task_id.startswith("dsub-d-head1@")
     }
     for k in ("0", "4", "8", "12", "16"):  # pairs with a full next panel
         span = d11[k]
