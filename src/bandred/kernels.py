@@ -24,12 +24,34 @@ costs one np.add per output rather than one per tile; with two or more, the
 output is cut into ROW_TILE/COL_TILE tiles for the pool to share. SCRATCH
 bounds the cache footprint either way, and the bits depend on neither.
 
+The SEVP trailing update (symm_lower, syr2k_lower) sums through a compiled
+twin of _accumulate: about twenty lines of C (_SUM_SOURCE) that run each
+entry's chain in inner order, one rounded product and one rounded add per
+index, with the row loop innermost so the compiler vectorizes across entries
+and never across the inner index. It is built on first use with
+`cc -O3 -ffp-contract=off -fPIC -shared` (no FMA contraction, no
+-ffast-math or -fassociative-math, no -march=native) into a per-user cache,
+$XDG_CACHE_HOME/bandred or ~/.cache/bandred, and loaded with ctypes, which
+releases the GIL for the call. Its bits are _accumulate's. Without a compiler,
+or if the build fails or the cache directory is not private to the user, it
+warns once and sums with _accumulate. Every other kernel uses _accumulate.
+
 Vector norms and dots (np.linalg.norm, @ on vectors) appear only inside panel
 factorizations, where every schedule issues the identical call on identical
 data.
 """
 
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -115,6 +137,135 @@ def _accumulate(A, B, C):
                 np.add(Ct, prod, out=Ct)
 
 
+_SUM_SOURCE = r"""
+/* C += A*B for A and C with unit row stride (column strides lda, ldc) and
+   any B. Entry (i, j) gets one rounded product and one rounded add per p,
+   p ascending. The i loop is innermost: a compiler may vectorize across
+   the entries of a column of C, never across p. */
+void bandred_accumulate(long m, long n, long k, const double *a, long lda,
+                        const double *b, long bp, long bj, double *c, long ldc)
+{
+    for (long j = 0; j < n; j++) {
+        double *cj = c + j * ldc;
+        for (long p = 0; p < k; p++) {
+            const double *ap = a + p * lda;
+            const double bv = b[p * bp + j * bj];
+            for (long i = 0; i < m; i++)
+                cj[i] += ap[i] * bv;
+        }
+    }
+}
+"""
+# No FMA contraction and no reassociation (-ffast-math, -fassociative-math):
+# either changes bits. No -march=native: a library cached in a home directory
+# shared between hosts must run on each of them.
+_SUM_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _find_cc():
+    return shutil.which("cc")
+
+
+def _default_cache_dir():
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "bandred"
+
+
+def _private_dir(path):
+    """path, made with mode 0700 if missing. A directory another user owns
+    or can write is refused: the library loaded from it runs as our code."""
+    path = Path(path)
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = path.stat()
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"cache directory {path} is not private to this user "
+                      f"(owner uid {st.st_uid}, mode {st.st_mode & 0o777:o})")
+    return path
+
+
+def _build_sum(cc, flags, directory):
+    """The shared library of _SUM_SOURCE built with flags in directory,
+    compiled only if absent. The name is keyed by the source, the flags and
+    the machine type; the build is written under a temporary name and moved
+    into place, so a concurrent process never loads half a file."""
+    key = "\0".join((_SUM_SOURCE, *flags, platform.machine()))
+    key = hashlib.sha256(key.encode()).hexdigest()[:16]
+    lib = Path(directory) / f"accumulate-{key}.so"
+    if not lib.exists():
+        with tempfile.TemporaryDirectory(dir=directory) as tmp:
+            src, out = Path(tmp) / "accumulate.c", Path(tmp) / "accumulate.so"
+            src.write_text(_SUM_SOURCE)
+            subprocess.run([cc, *flags, "-o", str(out), str(src)],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(out, lib)
+    return lib
+
+
+def _load_sum(lib):
+    fn = ctypes.CDLL(str(lib)).bandred_accumulate
+    n, ptr = ctypes.c_long, ctypes.c_void_p
+    fn.argtypes = (n, n, n, ptr, n, ptr, n, n, ptr, n)
+    fn.restype = None
+    return fn
+
+
+def _call_sum(fn, A, B, C):
+    """C += A*B through the compiled fn for float64 operands, with
+    _accumulate's bits (strides go in entries). A C laid out by rows is
+    summed as C^T += B^T A^T, the same products in the same order; an A or
+    C without unit row stride goes through a column-major copy."""
+    if C.strides[0] > C.strides[1]:
+        A, B, C = B.T, A.T, C.T
+    m, k = A.shape
+    n = C.shape[1]
+    if A.strides[0] != 8:
+        A = np.asfortranarray(A)
+    out = C if C.strides[0] == 8 else np.asfortranarray(C)
+    fn(m, n, k, A.ctypes.data, A.strides[1] // 8, B.ctypes.data, B.strides[0] // 8,
+       B.strides[1] // 8, out.ctypes.data, out.strides[1] // 8)
+    if out is not C:
+        C[...] = out
+
+
+class _CompiledSum:
+    """_accumulate(A, B, C) through the compiled _SUM_SOURCE, built and loaded
+    on the first call. If that fails it warns once and calls _accumulate;
+    so do operands that are not aligned float64 (C writeable)."""
+
+    def __init__(self, cache_dir=None):
+        self._cache_dir = cache_dir
+        self._lock = threading.Lock()
+        self._ready = False
+        self.fn = None
+
+    def _load(self):
+        with self._lock:
+            if not self._ready:
+                try:
+                    cc = _find_cc()
+                    if cc is None:
+                        raise OSError("no C compiler 'cc' on PATH")
+                    cache = _private_dir(self._cache_dir or _default_cache_dir())
+                    self.fn = _load_sum(_build_sum(cc, _SUM_FLAGS, cache))
+                except (OSError, subprocess.SubprocessError) as e:
+                    warnings.warn(f"bandred: compiled sum unavailable ({e}); symm_lower and "
+                                  "syr2k_lower use the NumPy sum: same bits, slower",
+                                  RuntimeWarning, stacklevel=3)
+                self._ready = True
+        return self.fn
+
+    def __call__(self, A, B, C):
+        fn = self.fn if self._ready else self._load()
+        usable = all(x.dtype == np.float64 and x.flags.aligned for x in (A, B, C))
+        if fn is None or not (usable and C.flags.writeable):
+            _accumulate(A, B, C)
+        else:
+            _call_sum(fn, A, B, C)
+
+
+_COMPILED_SUM = _CompiledSum()
+
+
 def _split(workers, size, tile, run):
     """run(lo, hi) over [0, size): once over the whole range unless two or
     more workers share it, then in tiles of `tile` handed to workers.map."""
@@ -124,14 +275,16 @@ def _split(workers, size, tile, run):
         workers.map(lambda t: run(*t), [(lo, min(lo + tile, size)) for lo in range(0, size, tile)])
 
 
-def matmul(alpha, A, B, beta, C, workers=None):
+def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_accumulate):
     """C := alpha*A*B + beta*C with a fixed summation order over the inner
     dimension (strictly sequential, one rounded product and one rounded sum
     per inner index).
 
     Pass transposed views (A.T / B.T) for transposed operands. Two or more
     workers share disjoint row tiles of C; one worker sums all of C in one
-    sweep. Results are bitwise identical for any worker count.
+    sweep. Results are bitwise identical for any worker count. _sum is the
+    C += A*B sum of each tile: _accumulate, or for the SEVP trailing update
+    its compiled twin.
     """
     _as2d(A, "A"), _as2d(B, "B"), _as2d(C, "C")
     m, k = A.shape
@@ -150,7 +303,7 @@ def matmul(alpha, A, B, beta, C, workers=None):
     if alpha != 1.0:
         A = A * alpha  # one rounding per entry, as if folded in at each step
 
-    _split(workers, m, ROW_TILE, lambda r0, r1: _accumulate(A[r0:r1], B, C[r0:r1]))
+    _split(workers, m, ROW_TILE, lambda r0, r1: _sum(A[r0:r1], B, C[r0:r1]))
     return C
 
 
@@ -388,11 +541,12 @@ def symm_lower(A2, W, out, workers=None):
 
     Assembles the full symmetric j x j operand once, in SYM_STRIP column
     blocks (lower part, mirrored diagonal block, transposed column block),
-    and runs one matmul over it, so every entry of out is one sequential sum
-    over the whole inner range. matmul shares its row tiles among two or
-    more workers. Its accumulator starts at +0.0, and a rounded sum is -0.0
-    only when both terms are, so a zero's sign in A2 never reaches out. The
-    operand is a j x j transient (about 1 MB at j = 352).
+    and runs one matmul over it, summed by the compiled sum, so every entry
+    of out is one sequential sum over the whole inner range. matmul shares
+    its row tiles among two or more workers. Its accumulator starts at
+    +0.0, and a rounded sum is -0.0 only when both terms are, so a zero's
+    sign in A2 never reaches out. The operand is a j x j transient (about
+    1 MB at j = 352).
     """
     _as2d(A2, "A2"), _as2d(W, "W"), _as2d(out, "out")
     j = A2.shape[0]
@@ -407,7 +561,7 @@ def symm_lower(A2, W, out, workers=None):
         S[c0:c1, c0:c1] = np.tril(d) + np.tril(d, -1).T
         S[c1:, c0:c1] = A2[c1:, c0:c1]
         S[c0:c1, c1:] = A2[c1:, c0:c1].T
-    return matmul(1.0, S, W, 0.0, out, workers)
+    return matmul(1.0, S, W, 0.0, out, workers, _sum=_COMPILED_SUM)
 
 
 def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
@@ -420,7 +574,8 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     rectangular body below the strip's diagonal block is one matmul, and the
     d x d diagonal block is summed whole on a copy whose lower triangle alone
     is written back; the flops charged for it, under "syr2k", are those of
-    the triangle alone, 4*k*d(d+1)/2. Two or more workers share the strips.
+    the triangle alone, 4*k*d(d+1)/2. Both sum through the compiled sum. Two
+    or more workers share the strips.
     """
     _as2d(A2, "A2"), _as2d(X3, "X3"), _as2d(Y, "Y")
     j = A2.shape[0]
@@ -438,11 +593,11 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
 
     def run_strip(s0, s1):
         if s1 < j:
-            matmul(1.0, L[s1:j], R[s0:s1].T, 1.0, A2[s1:j, s0:s1])
+            matmul(1.0, L[s1:j], R[s0:s1].T, 1.0, A2[s1:j, s0:s1], _sum=_COMPILED_SUM)
         d = s1 - s0
         lower = np.tri(d, dtype=bool)
         head = np.where(lower, A2[s0:s1, s0:s1], 0.0)
-        _accumulate(L[s0:s1], R[s0:s1].T, head)
+        _COMPILED_SUM(L[s0:s1], R[s0:s1].T, head)
         np.copyto(A2[s0:s1, s0:s1], head, where=lower)
         FLOPS.add("syr2k", 2 * k * d * (d + 1))
 

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,13 +29,14 @@ from bandred import (
     reset_flops,
     snapshot_flops,
 )
-from bandred import sevp
+from bandred import kernels, sevp
 from bandred.kernels import (
     CHAIN_BLOCK,
     COL_TILE,
     ROW_TILE,
     SCRATCH,
     SYM_STRIP,
+    _accumulate,
     symm_lower,
     syr2k_lower,
 )
@@ -710,3 +717,250 @@ def test_sym_two_sided_matches_dense_similarity():
     ev_in = jacobi_eigen(dense0)
     ev_out = jacobi_eigen(_densify(A))
     assert np.max(np.abs(ev_in - ev_out)) <= 1e-12 * np.max(np.abs(ev_in))
+
+
+# --- the compiled sum ------------------------------------------------------
+
+
+def _extreme_values(rng, shape):
+    """_values mixed with subnormals and magnitudes 1e+-300, so products
+    underflow, overflow to inf and meet inf - inf."""
+    v = _values(rng, shape)
+    special = np.array([5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300])
+    pick = rng.random(shape) < 0.15
+    v[pick] = rng.choice(special, size=int(pick.sum()))
+    return v
+
+
+@pytest.fixture(scope="module")
+def compiled_sum():
+    """The compiled sum the SEVP kernels use, loaded; skipped without cc."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: the NumPy sum is the only path")
+    kernels._COMPILED_SUM(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+    return kernels._COMPILED_SUM
+
+
+@pytest.fixture(scope="module")
+def numpy_sum():
+    """A _CompiledSum that found no compiler: the NumPy fallback, with its
+    one warning taken up front."""
+    fallback = kernels._CompiledSum()
+    with pytest.MonkeyPatch.context() as mp, pytest.warns(RuntimeWarning, match="no C compiler"):
+        mp.setattr(kernels, "_find_cc", lambda: None)
+        fallback(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+    assert fallback.fn is None
+    return fallback
+
+
+def _counted_with(sum_, fn, *args):
+    """Flops of fn(*args) with the SEVP kernels summing through sum_."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_COMPILED_SUM", sum_)
+        return _counted(fn, *args)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: the NumPy sum is the only path")
+def test_compiled_sum_runs_wherever_cc_exists(monkeypatch):
+    """The oracle tests of symm_lower and syr2k_lower must not pass on the
+    fallback unnoticed: with cc on PATH, neither kernel sums with NumPy."""
+
+    def numpy_sum(*args):
+        raise AssertionError("an SEVP kernel summed with NumPy although cc is on PATH")
+
+    monkeypatch.setattr(kernels, "_accumulate", numpy_sum)
+    A = _rand(70, 70, 67)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        symm_lower(A, _rand(70, 3, 68), np.zeros((70, 3), order="F"))
+        syr2k_lower(A, _rand(70, 3, 69), _rand(70, 3, 70), 0, 70)
+    assert kernels._COMPILED_SUM.fn is not None
+
+
+@st.composite
+def _sum_case(draw):
+    """(m, k, n): tiny or empty, rank-b update, or dot-shaped."""
+    dims = draw(st.one_of(
+        st.tuples(*(st.integers(0, 3) for _ in range(3))),
+        st.tuples(st.integers(1, 300), st.integers(1, 40), st.integers(1, 80)),
+        st.tuples(st.integers(1, 6), st.integers(64, 700), st.integers(1, 6)),
+    ))
+    return dict(
+        dims=dims,
+        layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sum_case())
+def test_compiled_sum_matches_numpy_sum_bitwise(case, compiled_sum):
+    m, k, n = case["dims"]
+    rng = np.random.default_rng(case["seed"])
+    la, lb, lc = case["layouts"]
+    A = _laid_out(_extreme_values(rng, (m, k)), la)
+    B = _laid_out(_extreme_values(rng, (k, n)), lb)
+    C0 = _extreme_values(rng, (m, n))
+    got, want = _laid_out(C0, lc), _laid_out(C0, lc)
+    with np.errstate(all="ignore"):
+        compiled_sum(A, B, got)
+        if m and k and n:  # _accumulate needs operands that matmul let through
+            _accumulate(A, B, want)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_syr2k_case())
+def test_syr2k_lower_same_bits_and_flops_on_both_sums(case, compiled_sum, numpy_sum, pool_workers):
+    j, b = case["j"], case["b"]
+    rng = np.random.default_rng(case["seed"])
+    la, lx, ly = case["layouts"]
+    S0 = _extreme_values(rng, (j, j))
+    X3 = _laid_out(_extreme_values(rng, (j, b)), lx)
+    Y = _laid_out(_extreme_values(rng, (j, b)), ly)
+    got, want = _laid_out(S0, la), _laid_out(S0, la)
+    args = (X3, Y, *case["cols"], pool_workers[case["workers"]])
+    with np.errstate(all="ignore"):
+        got_flops = _counted_with(compiled_sum, syr2k_lower, got, *args)
+        want_flops = _counted_with(numpy_sum, syr2k_lower, want, *args)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert got_flops == want_flops
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_symm_case())
+def test_symm_lower_same_bits_and_flops_on_both_sums(case, compiled_sum, numpy_sum, pool_workers):
+    j, b = case["j"], case["b"]
+    rng = np.random.default_rng(case["seed"])
+    la, lw, lo = case["layouts"]
+    S = _laid_out(_extreme_values(rng, (j, j)), la)
+    W = _laid_out(_extreme_values(rng, (j, b)), lw)
+    out0 = _extreme_values(rng, (j, b))
+    got, want = _laid_out(out0, lo), _laid_out(out0, lo)
+    workers = pool_workers[case["workers"]]
+    with np.errstate(all="ignore"):
+        got_flops = _counted_with(compiled_sum, symm_lower, S, W, got, workers)
+        want_flops = _counted_with(numpy_sum, symm_lower, S, W, want, workers)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert got_flops == want_flops
+
+
+def _host_has_fma():
+    cpuinfo = Path("/proc/cpuinfo")
+    return cpuinfo.is_file() and " fma " in cpuinfo.read_text()
+
+
+def test_a_contracted_build_fails_the_bit_check(tmp_path, compiled_sum):
+    """Mutation check: the same source built to contract a*b + c into FMAs
+    must disagree with _accumulate on a rank-b product, so the bit tests
+    above would catch a build that contracts."""
+    flags = ("-O3", "-march=native", "-ffp-contract=fast", "-fPIC", "-shared")
+    try:
+        fused = kernels._load_sum(kernels._build_sum(shutil.which("cc"), flags, tmp_path))
+    except (OSError, subprocess.SubprocessError) as e:
+        pytest.skip(f"cc cannot build with {flags}: {e}")
+    A, B, C0 = _rand(200, 16, 60), _rand(16, 64, 61), _rand(200, 64, 62)
+    got, want = C0.copy(order="F"), C0.copy(order="F")
+    kernels._call_sum(fused, A, B, got)
+    _accumulate(A, B, want)
+    differ = np.count_nonzero(_bits(got) != _bits(want))
+    if differ == 0 and not _host_has_fma():
+        pytest.skip("the host has no FMA, so the contracted build cannot differ")
+    assert differ > 0
+
+
+def _sevp_kernel_outputs(workers=None):
+    rng = np.random.default_rng(63)
+    j, b = 150, 16
+    S = _laid_out(_values(rng, (j, j)), "F")
+    W, X3, Y = (_laid_out(_values(rng, (j, b)), "F") for _ in range(3))
+    out = np.zeros((j, b), order="F")
+    reset_flops()
+    symm_lower(S, W, out, workers)
+    syr2k_lower(S, X3, Y, 0, j, workers)
+    return out, S, snapshot_flops()
+
+
+def test_without_a_compiler_the_numpy_sum_warns_once_with_the_same_bits(
+    monkeypatch, compiled_sum, pool_workers
+):
+    want = _sevp_kernel_outputs()
+    monkeypatch.setattr(kernels, "_find_cc", lambda: None)
+    monkeypatch.setattr(kernels, "_COMPILED_SUM", kernels._CompiledSum())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # the first use comes from two pool threads at once
+        runs = [_sevp_kernel_outputs(pool_workers[w]) for w in (2, 0, 1, 2)]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "no C compiler" in str(caught[0].message)
+    assert kernels._COMPILED_SUM.fn is None
+    for out, S, flops in runs:
+        assert np.array_equal(_bits(out), _bits(want[0]))
+        assert np.array_equal(_bits(S), _bits(want[1]))
+        assert flops == want[2]
+
+
+@pytest.mark.parametrize("mode", [0o770, 0o703, 0o777])
+def test_a_cache_dir_others_can_write_is_refused(tmp_path, mode, compiled_sum):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(mode)
+    refused = kernels._CompiledSum(cache_dir=cache)
+    A, B, C0 = _rand(40, 8, 64), _rand(8, 30, 65), _rand(40, 30, 66)
+    got, want = C0.copy(order="F"), C0.copy(order="F")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        refused(A, B, got)
+        refused(A, B, got)
+    assert len(caught) == 1 and "not private" in str(caught[0].message)
+    assert refused.fn is None and list(cache.iterdir()) == []
+    _accumulate(A, B, want)
+    _accumulate(A, B, want)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="chown needs root")
+def test_a_cache_dir_another_user_owns_is_refused(tmp_path, compiled_sum):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    os.chown(cache, 12345, -1)
+    refused = kernels._CompiledSum(cache_dir=cache)
+    with pytest.warns(RuntimeWarning, match="not private"):
+        refused(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+    assert refused.fn is None
+
+
+def test_a_private_cache_dir_is_built_once_then_loaded(tmp_path, compiled_sum):
+    cache = tmp_path / "new" / "bandred"
+    first = kernels._CompiledSum(cache_dir=cache)
+    first(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+    assert first.fn is not None
+    assert cache.stat().st_mode & 0o777 == 0o700
+    (lib,) = cache.iterdir()
+    built = lib.stat().st_mtime_ns
+    second = kernels._CompiledSum(cache_dir=cache)
+    C = np.zeros((1, 1))
+    second(np.full((1, 1), 3.0), np.full((1, 1), 2.0), C)
+    assert C[0, 0] == 6.0 and list(cache.iterdir()) == [lib]
+    assert lib.stat().st_mtime_ns == built
+
+
+def _python(code, cache_home):
+    """code run in a fresh interpreter with the cache under cache_home."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache_home))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(kernels.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_only_the_sevp_kernels_build_the_compiled_sum(tmp_path, compiled_sum):
+    """Importing bandred and analyzing dependencies compile nothing; the
+    first symm_lower builds into $XDG_CACHE_HOME/bandred."""
+    _python("import bandred as b; f = b.SvdForm.BAND; "
+            "b.analyze_overlap(b.build_dag(b.enumerate_tasks(48, 48, 8, 4, f), 48, 48, 8, 4, f), "
+            "8, 4, f)", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    _python("import numpy as np, bandred.kernels as k; "
+            "k.symm_lower(np.eye(3), np.ones((3, 2)), np.zeros((3, 2))); "
+            "assert k._COMPILED_SUM.fn is not None", tmp_path)
+    assert [p.suffix for p in (tmp_path / "bandred").iterdir()] == [".so"]
