@@ -36,10 +36,10 @@ Two granularities of truth live here:
   opposite sides before searching for paths.  Panels never commute with
   anything that touches their range, so all panel edges are kept.
 
-The fine update blocks are aligned to the global ``b`` grid.  Split there,
-the tasks that the Reference schedule of ``reduce_band_svd`` and
-``reduce_tri_band`` hands to the runtime declare exactly these ranges;
-the acceptance check compares the two lists directly.
+The task list is not a second copy of the reduction loop:
+``enumerate_tasks`` plans the Reference schedule of ``reduce_band_svd``
+from the task streams the reductions run, and splits each update on the
+global ``b`` grid; the acceptance check compares it with a captured run.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import svd
+from .lookahead import plan
 from .svd import SvdForm
 
 __all__ = [
@@ -169,12 +171,6 @@ class OverlapReport:
     steady_iterations: list[int] = field(default_factory=list)
 
 
-def _panel_node(kind: TaskKind, it: int, rows: tuple[int, int],
-                cols: tuple[int, int]) -> TaskNode:
-    rng = (rows, cols)
-    return TaskNode(kind, it, None, (rng,), (rng,))
-
-
 def _grid_blocks(c0: int, c1: int, b: int) -> list[tuple[int, int, int]]:
     """Split [c0, c1) at the global multiples of b: (block index, g0, g1)."""
     out = []
@@ -203,57 +199,57 @@ def _update_nodes(kind: TaskKind, it: int, panel: Range2D,
     return out
 
 
+# Task kinds by task-id prefix ("qr", "lq", "left", "right"), the id up to
+# its first "-" or "@".
+_KINDS = {kind.value.split("_")[0]: kind for kind in TaskKind}
+
+
+def _phase_nodes(phases, b: int) -> list[TaskNode]:
+    """The tasks of Reference phases (all on the parallel list) as TaskNodes,
+    in order: the kind from the task-id prefix, the iteration from the phase
+    index, and each update split on the global ``b`` grid, its panel the
+    first span it reads."""
+    out: list[TaskNode] = []
+    for it, phase in enumerate(phases):
+        for task in phase.par_tasks:
+            kind = _KINDS[task.task_id.split("@")[0].split("-")[0]]
+            (own,) = task.writes
+            if kind in (TaskKind.QR_PANEL, TaskKind.LQ_PANEL):
+                rng = (own.rows, own.cols)
+                out.append(TaskNode(kind, it, None, (rng,), (rng,)))
+            else:
+                panel = task.reads[0]
+                out += _update_nodes(kind, it, (panel.rows, panel.cols),
+                                     own.rows, own.cols, b)
+    return out
+
+
 def enumerate_tasks(m: int, n: int, w: int, b: int, form: SvdForm,
                     iters: Optional[int] = None) -> list[TaskNode]:
     """List the reduction's tasks in program order.
 
-    Mirrors the loop structure of the actual reductions exactly: the
-    same iteration guard, the same shrinking panel widths near the
-    fringe, and the same row split between the right panel and the
-    right update.  ``iters`` truncates to the first iterations; by
-    default the full reduction is enumerated.
+    Plans the Reference schedule of ``reduce_band_svd`` (no matrix, no task
+    run) and converts its phases with ``_phase_nodes``, so the iteration
+    guard, fringe panel widths and row split are the reduction's own.
+    ``iters`` truncates to the first iterations; by default the full
+    reduction is enumerated.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     if b < 1 or b > w:
         raise ValueError("block size must satisfy 1 <= b <= w")
+    if w % b != 0:
+        raise ValueError("task enumeration requires w to be a multiple of b")
     if iters is not None and iters < 1:
         raise ValueError("iters must be at least 1 when given")
     if not isinstance(form, SvdForm):
         raise TypeError("form must be an SvdForm")
-
-    tasks: list[TaskNode] = []
-    k = 0
-    it = 0
-    while iters is None or it < iters:
-        if form is SvdForm.TRIANGULAR_BAND:
-            if not (m - k >= 2 and k < n):
-                break
-            bp = min(b, n - k, m - k)
-            qr_rows, lshift = (k, m), 0
-        else:
-            if not (m - k - w >= 2 and k < n):
-                break
-            bp = min(b, m - k - w, n - k)
-            qr_rows, lshift = (k + w, m), w
-        tasks.append(_panel_node(TaskKind.QR_PANEL, it, qr_rows, (k, k + bp)))
-        if k + bp < n:
-            tasks += _update_nodes(
-                TaskKind.LEFT_UPDATE, it,
-                (qr_rows, (k, k + bp)),
-                (k + lshift, m), (k + bp, n), b)
-        jr = n - k - w
-        if jr >= 1:
-            bq = min(bp, jr)
-            lq = ((k, k + bq), (k + w, n))
-            tasks.append(_panel_node(TaskKind.LQ_PANEL, it, *lq))
-            if k + bq < m:
-                tasks += _update_nodes(
-                    TaskKind.RIGHT_UPDATE, it, lq,
-                    (k + bq, m), (k + w, n), b)
-        k += bp
-        it += 1
-    return tasks
+    if m < n:
+        raise ValueError(f"task enumeration requires m >= n: the reduction "
+                         f"runs {m} x {n} as its {n} x {m} transpose")
+    state = svd._BandState(None, svd.SvdConfig(m, n, w, b, form))
+    ks = svd._band_schedule(state)[:iters]
+    return _phase_nodes(plan(lambda k: svd._band_stream(state, k, False), ks), b)
 
 
 def _ranges_to_array(tasks: Sequence[TaskNode], attr: str) -> np.ndarray:

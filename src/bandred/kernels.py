@@ -69,6 +69,9 @@ SYM_STRIP = 64
 # computed depends only on operand shapes, never on workers or workload.
 SCRATCH = 16384
 CHAIN_BLOCK = 256
+# Columns (qr_panel) or rows (lq_panel) factored before the panel's next
+# inner block is updated at once. Unlike the tiles, it sets the bits.
+PANEL_INNER_B = 16
 # Blue's thresholds for an unscaled 2-norm: inside (RTMIN, RTMAX) no square
 # of the sum can have underflowed or overflowed, so np.linalg.norm is
 # accurate as it stands; outside, house_gen rescales by max|x| first.
@@ -393,7 +396,7 @@ def _t_extend(T, Y, v, tau, i):
     T[i, i] = -tau
 
 
-def qr_panel(P, inner_b=16):
+def qr_panel(P):
     """Blocked left-looking QR of a j x b panel (j >= b >= 1), in place.
 
     P's top b x b becomes R (reflector tails remain below it, as usual).
@@ -404,13 +407,11 @@ def qr_panel(P, inner_b=16):
     j, b = P.shape
     if j < b or b < 1:
         raise ValueError(f"qr_panel needs j >= b >= 1, got {j} x {b}")
-    if inner_b < 1:
-        raise ValueError("inner_b >= 1")
     Y = np.zeros((j, b), order="F")
     T = np.zeros((b, b), order="F")
     tau = np.zeros(b)
-    for s in range(0, b, inner_b):
-        e = min(s + inner_b, b)
+    for s in range(0, b, PANEL_INNER_B):
+        e = min(s + PANEL_INNER_B, b)
         if s > 0:
             # left-looking: apply the s accumulated reflectors to this block,
             # Q^T A = A + Y (T^T (Y^T A))
@@ -439,7 +440,7 @@ def qr_panel(P, inner_b=16):
     return PanelFactors(y=Y, t=T, w=W, r_or_l=R, tau=tau)
 
 
-def lq_panel(P, inner_b=16):
+def lq_panel(P):
     """Blocked left-looking LQ of a b x j panel (j >= b >= 1), in place;
     reflectors act on rows. P's leftmost b x b becomes L (lower triangular).
 
@@ -452,13 +453,11 @@ def lq_panel(P, inner_b=16):
     b, j = P.shape
     if j < b or b < 1:
         raise ValueError(f"lq_panel needs b x j with j >= b >= 1, got {b} x {j}")
-    if inner_b < 1:
-        raise ValueError("inner_b >= 1")
     Y = np.zeros((j, b), order="F")
     T = np.zeros((b, b), order="F")
     tau = np.zeros(b)
-    for s in range(0, b, inner_b):
-        e = min(s + inner_b, b)
+    for s in range(0, b, PANEL_INNER_B):
+        e = min(s + PANEL_INNER_B, b)
         if s > 0:
             # right-apply the s accumulated row reflectors to this row block:
             # A V = A + ((A Y) T) Y^T

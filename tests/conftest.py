@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import re
-
 # Import the package before anything else pulls in numpy, so the BLAS thread
 # pins in bandred.__init__ take effect for the whole test process.
 import bandred  # noqa: F401
 import bandred.sevp
 import bandred.svd
 import pytest
-from bandred import TaskKind, depgraph
+from bandred import depgraph
 
 
 @pytest.fixture
@@ -29,37 +27,14 @@ def captured_plans(monkeypatch):
     return plans
 
 
-_NODE_KINDS = {
-    "qr": TaskKind.QR_PANEL,
-    "lq": TaskKind.LQ_PANEL,
-    "left": TaskKind.LEFT_UPDATE,
-    "right": TaskKind.RIGHT_UPDATE,
-}
-
-
 @pytest.fixture
 def reference_nodes(captured_plans):
-    """nodes(b): the captured Reference run as depgraph TaskNodes, then the
-    capture is cleared.
-
-    The kind comes from the task-id prefix and the iteration is the phase
-    index. Each update task is split on the global b-grid, with the panel
-    range taken from the first span it reads."""
+    """nodes(b): the captured Reference run as depgraph TaskNodes (see
+    depgraph._phase_nodes), then the capture is cleared."""
 
     def nodes(b):
-        out = []
-        for it, plan in enumerate(captured_plans):
-            assert not plan.seq_tasks, "the Reference runs one task list"
-            for task in plan.par_tasks:
-                kind = _NODE_KINDS[re.split("[-@]", task.task_id, maxsplit=1)[0]]
-                (own,) = task.writes
-                if kind in (TaskKind.QR_PANEL, TaskKind.LQ_PANEL):
-                    out.append(depgraph._panel_node(kind, it, own.rows, own.cols))
-                else:
-                    panel = task.reads[0]
-                    out += depgraph._update_nodes(
-                        kind, it, (panel.rows, panel.cols), own.rows, own.cols, b
-                    )
+        assert not any(p.seq_tasks for p in captured_plans), "the Reference runs one task list"
+        out = depgraph._phase_nodes(captured_plans, b)
         captured_plans.clear()
         return out
 

@@ -268,5 +268,6 @@ def test_depgraph_writes_dot_file(tmp_path):
 
 
 def test_depgraph_rejects_unanalyzable_configs():
-    proc = _run("--algo", "depgraph", "--ratio", "1", "--n", "6")
-    assert proc.returncode == 2
+    for args in (("--ratio", "1", "--n", "6"), ("--m", "20", "--n", "24")):
+        proc = _run("--algo", "depgraph", *args)
+        assert proc.returncode == 2, args

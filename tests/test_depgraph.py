@@ -203,6 +203,12 @@ def test_enumerate_validation():
         enumerate_tasks(5, 5, 2, 1, SvdForm.BAND, iters=0)
     with pytest.raises(TypeError):
         enumerate_tasks(5, 5, 2, 1, "band")
+    with pytest.raises(ValueError, match="transpose"):
+        enumerate_tasks(20, 24, 4, 2, SvdForm.BAND)
+    # With k + w off the b-grid, one block would split into two nodes that
+    # share its block index.
+    with pytest.raises(ValueError, match="multiple of b"):
+        enumerate_tasks(24, 24, 5, 2, SvdForm.TRIANGULAR_BAND)
 
 
 def test_analysis_validation():
@@ -456,6 +462,11 @@ def _oracle_overlap(dag, w, b):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_analyze_overlap_matches_whole_graph_search(m, n, b, form, r):
     w = r * b
+    if m < n:
+        # A wide matrix is enumerated as the transpose the reduction runs.
+        with pytest.raises(ValueError, match="transpose"):
+            enumerate_tasks(m, n, w, b, form)
+        m, n = n, m
     dag = _dag(m, n, w, b, form)
     rep = analyze_overlap(dag, w, b, form)
     got = (rep.left_feasible, rep.right_feasible, rep.both_feasible, rep.steady_iterations)
