@@ -24,21 +24,30 @@ costs one np.add per output rather than one per tile; with two or more, the
 output is cut into ROW_TILE/COL_TILE tiles for the pool to share. SCRATCH
 bounds the cache footprint either way, and the bits depend on neither.
 
-The SEVP trailing update (symm_lower, syr2k_lower) sums through a compiled
-twin of _accumulate: about twenty lines of C (_SUM_SOURCE) that run each
-entry's chain in inner order, one rounded product and one rounded add per
-index, with the row loop innermost so the compiler vectorizes across entries
-and never across the inner index. It is built on first use with
-`cc -O3 -ffp-contract=off -fPIC -shared` (no FMA contraction, no
--ffast-math or -fassociative-math, no -march=native) into a per-user cache,
-$XDG_CACHE_HOME/bandred or ~/.cache/bandred, and loaded with ctypes, which
-releases the GIL for the call. Its bits are _accumulate's. Without a compiler,
-or if the build fails or the cache directory is not private to the user, it
-warns once and sums with _accumulate. Every other kernel uses _accumulate.
+The panels and the SEVP trailing update sum through compiled C
+(_SUM_SOURCE) with _accumulate's bits: every entry's chain runs in inner
+order, one rounded product and one rounded add per index, and no loop
+vectorizes across an inner index. Every product is still a matmul call,
+which checks the shapes and charges the flops, so the "matmul" flop class
+stays 2mkn per matmul call. Three entry points:
+- bandred_accumulate, _accumulate's twin, sums syr2k_lower's strips and the
+  panels' inner-block updates;
+- bandred_product runs matmul's whole step (beta, alpha, sum) for the
+  small products of a panel column and of build_w, at operand addresses
+  the caller works out from its arrays' bases (_At);
+- bandred_symm_lower sums symm_lower straight from A2's lower triangle
+  (_SymmLower).
+The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
+(no FMA contraction, no -ffast-math or -fassociative-math, no
+-march=native) into a per-user cache, $XDG_CACHE_HOME/bandred or
+~/.cache/bandred, and loaded with ctypes, which releases the GIL for each
+call. Without a compiler, or if the build fails or the cache directory is
+not private to the user, it warns once and every kernel takes its NumPy
+path; so do operands that are not aligned float64. apply_wy_left,
+apply_wy_right and matmul's default sum stay on _accumulate.
 
-Vector norms and dots (np.linalg.norm, @ on vectors) appear only inside panel
-factorizations, where every schedule issues the identical call on identical
-data.
+The vector norm (np.linalg.norm) appears only inside house_gen, where every
+schedule makes the identical call on identical data.
 """
 
 import ctypes
@@ -52,6 +61,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,8 +69,7 @@ from .flops import FLOPS
 
 # Tile edges for sharing an output among two or more workers (see _split);
 # one worker sums the whole output at once. SYM_STRIP is the column strip of
-# syr2k_lower and of symm_lower's operand assembly. No entry's bits depend on
-# any of them.
+# syr2k_lower. No entry's bits depend on any of them.
 ROW_TILE = 128
 COL_TILE = 128
 SYM_STRIP = 64
@@ -158,6 +167,65 @@ void bandred_accumulate(long m, long n, long k, const double *a, long lda,
         }
     }
 }
+
+/* matmul's whole step at addresses the caller knows, strides in entries:
+   C := alpha*A*B + beta*C. Each column of C is scaled by beta (zeroed when
+   beta == 0, kept when beta == 1); unless alpha == 0, each entry then adds
+   one rounded product per p ascending, A's entry first multiplied by alpha
+   unless alpha == 1. These are matmul's roundings in matmul's order. A
+   one-row C keeps each chain in a register; otherwise the i loop is
+   innermost, across entries. */
+void bandred_product(long m, long n, long k, double alpha, double beta,
+                     const double *a, long ar, long ac, const double *b,
+                     long br, long bc, double *c, long cr, long cc)
+{
+    for (long j = 0; j < n; j++) {
+        double *cj = c + j * cc;
+        for (long i = 0; i < m; i++)
+            cj[i * cr] = beta == 0.0 ? 0.0 : beta == 1.0 ? cj[i * cr] : cj[i * cr] * beta;
+        if (alpha == 0.0)
+            continue;
+        if (m == 1) {
+            double s = cj[0];
+            for (long p = 0; p < k; p++)
+                s += (alpha == 1.0 ? a[p * ac] : a[p * ac] * alpha) * b[p * br + j * bc];
+            cj[0] = s;
+            continue;
+        }
+        for (long p = 0; p < k; p++) {
+            const double *ap = a + p * ac;
+            const double bv = b[p * br + j * bc];
+            for (long i = 0; i < m; i++)
+                cj[i * cr] += (alpha == 1.0 ? ap[i * ar] : ap[i * ar] * alpha) * bv;
+        }
+    }
+}
+
+/* symm_lower: rows r0..r1 of out = S*W, S the symmetric j x j matrix whose
+   lower triangle a holds (entry (r, p) at a[r*ar + p*ac]). Rows r0..r1 of
+   column p of S go to s first; each entry of out sums from +0.0 over p
+   ascending. */
+void bandred_symm_lower(long r0, long r1, long j, long n, const double *a,
+                        long ar, long ac, const double *w, long wr, long wc,
+                        double *out, long ldo, double *s)
+{
+    for (long c = 0; c < n; c++)
+        for (long r = r0; r < r1; r++)
+            out[r + c * ldo] = 0.0;
+    for (long p = 0; p < j; p++) {
+        const long d = p < r0 ? r0 : p > r1 ? r1 : p;
+        for (long r = r0; r < d; r++)
+            s[r - r0] = a[p * ar + r * ac];
+        for (long r = d; r < r1; r++)
+            s[r - r0] = a[r * ar + p * ac];
+        for (long c = 0; c < n; c++) {
+            const double wv = w[p * wr + c * wc];
+            double *oc = out + c * ldo;
+            for (long r = r0; r < r1; r++)
+                oc[r] += s[r - r0] * wv;
+        }
+    }
+}
 """
 # No FMA contraction and no reassociation (-ffast-math, -fassociative-math):
 # either changes bits. No -march=native: a library cached in a home directory
@@ -204,12 +272,27 @@ def _build_sum(cc, flags, directory):
     return lib
 
 
-def _load_sum(lib):
-    fn = ctypes.CDLL(str(lib)).bandred_accumulate
-    n, ptr = ctypes.c_long, ctypes.c_void_p
-    fn.argtypes = (n, n, n, ptr, n, ptr, n, n, ptr, n)
-    fn.restype = None
-    return fn
+# Argument types of each entry point of _SUM_SOURCE: l long, d double,
+# p pointer.
+_ENTRY_POINTS = {
+    "accumulate": "lllplpllpl",
+    "product": "lllddpllpllpll",
+    "symm_lower": "llllpllpllplp",
+}
+
+
+def _load_lib(lib):
+    """The entry points of the library at lib, typed, by their names in
+    _ENTRY_POINTS."""
+    dll = ctypes.CDLL(str(lib))
+    types = {"l": ctypes.c_long, "d": ctypes.c_double, "p": ctypes.c_void_p}
+    fns = {}
+    for name, args in _ENTRY_POINTS.items():
+        fn = getattr(dll, f"bandred_{name}")
+        fn.argtypes = tuple(types[c] for c in args)
+        fn.restype = None
+        fns[name] = fn
+    return SimpleNamespace(**fns)
 
 
 def _call_sum(fn, A, B, C):
@@ -231,15 +314,22 @@ def _call_sum(fn, A, B, C):
 
 
 class _CompiledSum:
-    """_accumulate(A, B, C) through the compiled _SUM_SOURCE, built and loaded
-    on the first call. If that fails it warns once and calls _accumulate;
-    so do operands that are not aligned float64 (C writeable)."""
+    """The compiled _SUM_SOURCE, built and loaded on first use. Called, it
+    sums like _accumulate(A, B, C); lib_for hands its other entry points to
+    build_w, symm_lower and the panels. If the build fails it warns once and
+    every caller takes its NumPy path; so do operands that are not aligned
+    float64 and outputs that are not writeable."""
 
     def __init__(self, cache_dir=None):
         self._cache_dir = cache_dir
         self._lock = threading.Lock()
         self._ready = False
-        self.fn = None
+        self._lib = None
+
+    @property
+    def fn(self):
+        """The compiled accumulate, or None while no library is loaded."""
+        return None if self._lib is None else self._lib.accumulate
 
     def _load(self):
         with self._lock:
@@ -249,21 +339,31 @@ class _CompiledSum:
                     if cc is None:
                         raise OSError("no C compiler 'cc' on PATH")
                     cache = _private_dir(self._cache_dir or _default_cache_dir())
-                    self.fn = _load_sum(_build_sum(cc, _SUM_FLAGS, cache))
+                    self._lib = _load_lib(_build_sum(cc, _SUM_FLAGS, cache))
                 except (OSError, subprocess.SubprocessError) as e:
-                    warnings.warn(f"bandred: compiled sum unavailable ({e}); symm_lower and "
-                                  "syr2k_lower use the NumPy sum: same bits, slower",
-                                  RuntimeWarning, stacklevel=3)
+                    warnings.warn(f"bandred: compiled sum unavailable ({e}); the panels and "
+                                  "the SEVP trailing update use the NumPy sum: same bits, slower",
+                                  RuntimeWarning, stacklevel=4)
                 self._ready = True
-        return self.fn
+
+    def lib_for(self, *operands, out=()):
+        """The loaded entry points, or None where the NumPy path must run:
+        no library, an operand or output that is not aligned float64, or an
+        output that is not writeable."""
+        if not self._ready:
+            self._load()
+        arrays = (*operands, *out)
+        if (self._lib is None or not all(x.dtype == np.float64 and x.flags.aligned for x in arrays)
+                or not all(x.flags.writeable for x in out)):
+            return None
+        return self._lib
 
     def __call__(self, A, B, C):
-        fn = self.fn if self._ready else self._load()
-        usable = all(x.dtype == np.float64 and x.flags.aligned for x in (A, B, C))
-        if fn is None or not (usable and C.flags.writeable):
+        lib = self.lib_for(A, B, out=(C,))
+        if lib is None:
             _accumulate(A, B, C)
         else:
-            _call_sum(fn, A, B, C)
+            _call_sum(lib.accumulate, A, B, C)
 
 
 _COMPILED_SUM = _CompiledSum()
@@ -278,6 +378,47 @@ def _split(workers, size, tile, run):
         workers.map(lambda t: run(*t), [(lo, min(lo + tile, size)) for lo in range(0, size, tile)])
 
 
+class _At:
+    """matmul's _sum for a product whose operand addresses the caller works
+    out from its arrays' bases: one bandred_product call runs the whole
+    step. Reading an address off a view (ndarray.ctypes) costs about as much
+    as a small product, and a panel column makes four of them."""
+
+    __slots__ = ("fn", "a", "b", "c")
+
+    def __init__(self, fn, a, b, c):
+        self.fn, self.a, self.b, self.c = fn, a, b, c
+
+    def product(self, alpha, A, B, beta, C, workers):
+        m, k = A.shape
+        (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
+        self.fn(m, C.shape[1], k, alpha, beta, self.a, ar >> 3, ac >> 3, self.b, br >> 3,
+                bc >> 3, self.c, cr >> 3, cc >> 3)
+
+
+class _SymmLower:
+    """matmul's _sum for symm_lower: out := sym(A2) * W (alpha 1, beta 0)
+    read straight from A2's lower triangle; two or more workers share
+    ROW_TILE-row tiles of out."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def product(self, alpha, A2, W, beta, out, workers):
+        j, n = out.shape
+        o = out if out.strides[0] == 8 else np.empty((j, n), order="F")
+        (ar, ac), (wr, wc) = A2.strides, W.strides
+
+        def run(r0, r1):
+            s = np.empty(r1 - r0)
+            self.fn(r0, r1, j, n, A2.ctypes.data, ar >> 3, ac >> 3, W.ctypes.data, wr >> 3,
+                    wc >> 3, o.ctypes.data, o.strides[1] >> 3, s.ctypes.data)
+
+        _split(workers, j, ROW_TILE, run)
+        if o is not out:
+            out[...] = o
+
+
 def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_accumulate):
     """C := alpha*A*B + beta*C with a fixed summation order over the inner
     dimension (strictly sequential, one rounded product and one rounded sum
@@ -286,14 +427,22 @@ def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_accumulate):
     Pass transposed views (A.T / B.T) for transposed operands. Two or more
     workers share disjoint row tiles of C; one worker sums all of C in one
     sweep. Results are bitwise identical for any worker count. _sum is the
-    C += A*B sum of each tile: _accumulate, or for the SEVP trailing update
-    its compiled twin.
+    C += A*B sum of each tile: _accumulate, or its compiled twin for
+    syr2k_lower and the panels' inner-block updates. A _sum with a product
+    method (_At, _SymmLower) runs the whole step in compiled C instead,
+    after the shape check and the flop charge.
     """
     _as2d(A, "A"), _as2d(B, "B"), _as2d(C, "C")
     m, k = A.shape
     k2, n = B.shape
     if k != k2 or C.shape != (m, n):
         raise ValueError(f"matmul shape mismatch: {A.shape} x {B.shape} -> {C.shape}")
+    product = getattr(_sum, "product", None)
+    if product is not None:
+        if alpha != 0.0 and k and m and n:
+            FLOPS.add("matmul", 2 * m * k * n)
+        product(alpha, A, B, beta, C, workers)
+        return C
 
     if beta == 0.0:
         C[...] = 0.0
@@ -378,22 +527,85 @@ def build_w(Y, T):
     if T.shape != (b, b):
         raise ValueError("build_w: T must be b x b")
     W = np.zeros((j, b), order="F")
+    lib = _COMPILED_SUM.lib_for(Y, T)
+    y, t, w, tc = Y.ctypes.data, T.ctypes.data, W.ctypes.data, T.strides[1]
     for i in range(b):
-        matmul(1.0, Y[:, : i + 1], T[: i + 1, i : i + 1], 0.0, W[:, i : i + 1])
+        sum_ = _accumulate if lib is None else _At(lib.product, y, t + i * tc, w + 8 * i * j)
+        matmul(1.0, Y[:, : i + 1], T[: i + 1, i : i + 1], 0.0, W[:, i : i + 1], _sum=sum_)
     return W
 
 
-def _t_extend(T, Y, v, tau, i):
-    """Grow the compact-WY triangle by one reflector:
-    T[0:i, i] = -tau * T[0:i, 0:i] * (Y[:, 0:i]^T v), T[i, i] = -tau.
-
-    v is the stored reflector tail (rows i ownward), zero above, so the dot
-    against the earlier columns only needs their tail rows."""
+def _column(Q, Y, T, t1, tmp, v, tau, beta, i, e, lq, sums):
+    """Column i of _panel after house_gen: store beta, v's tail and v (in Y),
+    apply H_i to the rest of the inner block, and extend the compact-WY
+    triangle, T[0:i, i] = -tau * T[0:i, 0:i] * (Y[i:, 0:i]^T v),
+    T[i, i] = -tau. Y's earlier columns are zero above row i, so the dot
+    only needs their tail rows. sums holds the _sum of each of the four
+    products, in order."""
+    Y[i:, i] = v
+    Q[i, i] = beta
+    Q[i + 1 :, i] = v[1:]
+    vcol = Y[i:, i : i + 1]
+    if e - i > 1 and tau != 0.0:
+        rest, t1 = Q[i:, i + 1 : e], t1[:, : e - i - 1]
+        matmul(1.0, vcol.T, rest, 0.0, t1, _sum=sums[0])
+        if lq:  # the rows' A := A - ((A v) tau) v^T: -tau folds into A v
+            matmul(-tau, t1.T, vcol.T, 1.0, rest.T, _sum=sums[1])
+        else:
+            matmul(-tau, vcol, t1, 1.0, rest, _sum=sums[1])
     if i > 0:
-        tmp = np.zeros((i, 1), order="F")
-        matmul(1.0, Y[i:, :i].T, v.reshape(-1, 1), 0.0, tmp)
-        matmul(-tau, T[:i, :i], tmp, 0.0, T[:i, i : i + 1])
+        tmp = tmp[:i]
+        matmul(1.0, Y[i:, :i].T, vcol, 0.0, tmp, _sum=sums[2])
+        matmul(-tau, T[:i, :i], tmp, 0.0, T[:i, i : i + 1], _sum=sums[3])
     T[i, i] = -tau
+
+
+def _panel(Q, lq):
+    """Blocked left-looking QR of the j x b frame Q in place: a QR panel, or
+    (lq) the transpose of an LQ panel. Returns Y, T, W and tau.
+
+    The frame serves both panels: an LQ panel's reflectors act on its rows,
+    which are the frame's columns, and every entry below sums the same
+    products in the same order either way. The one difference is where
+    matmul folds -tau when H_i is applied (see _column). Every product is a
+    matmul call. Where the compiled sum is loaded, the column steps' small
+    products run as single bandred_product calls at addresses worked out
+    here from the arrays' bases (_At), and the inner-block updates sum with
+    the compiled sum; the bits and flops are the NumPy sum's either way.
+    """
+    j, b = Q.shape
+    Y = np.zeros((j, b), order="F")
+    T = np.zeros((b, b), order="F")
+    tau = np.zeros(b)
+    t1 = np.zeros((1, b), order="F")  # v^T times the rest of the inner block
+    tmp = np.zeros((b, 1), order="F")  # Y's tail rows^T times v
+    lib = _COMPILED_SUM.lib_for(out=(Q,))
+    sums = (_accumulate,) * 4
+    if lib is not None:
+        fn, (q0, q1) = lib.product, Q.strides
+        q, y, t, w1, w2 = (x.ctypes.data for x in (Q, Y, T, t1, tmp))
+    for s in range(0, b, PANEL_INNER_B):
+        e = min(s + PANEL_INNER_B, b)
+        if s > 0:
+            # left-looking: apply the s accumulated reflectors to this block,
+            # Q^T A = A + Y (T^T (Y^T A))
+            blk = Q[:, s:e]
+            u1 = np.zeros((s, e - s), order="F")
+            matmul(1.0, Y[:, :s].T, blk, 0.0, u1, _sum=_COMPILED_SUM)
+            u2 = np.zeros((s, e - s), order="F")
+            matmul(1.0, T[:s, :s].T, u1, 0.0, u2, _sum=_COMPILED_SUM)
+            matmul(1.0, Y[:, :s], u2, 1.0, blk, _sum=_COMPILED_SUM)
+        for i in range(s, e):
+            v, ti, beta = house_gen(Q[i:, i].copy())
+            tau[i] = ti
+            if lib is not None:  # the operands of _column's four products
+                yv, rest = y + 8 * i * (j + 1), q + i * (q0 + q1) + q1
+                sums = (_At(fn, yv, rest, w1),
+                        _At(fn, w1, yv, rest) if lq else _At(fn, yv, w1, rest),
+                        _At(fn, y + 8 * i, yv, w2),
+                        _At(fn, t, w2, t + 8 * i * b))
+            _column(Q, Y, T, t1, tmp, v, ti, beta, i, e, lq, sums)
+    return Y, T, build_w(Y, T), tau
 
 
 def qr_panel(P):
@@ -407,35 +619,7 @@ def qr_panel(P):
     j, b = P.shape
     if j < b or b < 1:
         raise ValueError(f"qr_panel needs j >= b >= 1, got {j} x {b}")
-    Y = np.zeros((j, b), order="F")
-    T = np.zeros((b, b), order="F")
-    tau = np.zeros(b)
-    for s in range(0, b, PANEL_INNER_B):
-        e = min(s + PANEL_INNER_B, b)
-        if s > 0:
-            # left-looking: apply the s accumulated reflectors to this block,
-            # Q^T A = A + Y (T^T (Y^T A))
-            blk = P[:, s:e]
-            t1 = np.zeros((s, e - s), order="F")
-            matmul(1.0, Y[:, :s].T, blk, 0.0, t1)
-            t2 = np.zeros((s, e - s), order="F")
-            matmul(1.0, T[:s, :s].T, t1, 0.0, t2)
-            matmul(1.0, Y[:, :s], t2, 1.0, blk)
-        for i in range(s, e):
-            v, ti, beta = house_gen(P[i:, i].copy())
-            tau[i] = ti
-            Y[i:, i] = v
-            P[i, i] = beta
-            P[i + 1 :, i] = v[1:]
-            if i + 1 < e and ti != 0.0:
-                # apply H_i to the unfactored columns of this inner block
-                rest = P[i:, i + 1 : e]
-                vcol = v.reshape(-1, 1)
-                t1 = np.zeros((1, e - i - 1), order="F")
-                matmul(1.0, vcol.T, rest, 0.0, t1)
-                matmul(-ti, vcol, t1, 1.0, rest)
-            _t_extend(T, Y, Y[i:, i], ti, i)
-    W = build_w(Y, T)
+    Y, T, W, tau = _panel(P, lq=False)
     R = np.triu(P[:b, :b]).copy(order="F")
     return PanelFactors(y=Y, t=T, w=W, r_or_l=R, tau=tau)
 
@@ -445,42 +629,14 @@ def lq_panel(P):
     reflectors act on rows. P's leftmost b x b becomes L (lower triangular).
 
     Factors contract: V = I + W * Y^T applied from the right,
-    A := A + (A*W)*Y^T. Same recurrence as qr_panel, authored on rows rather
-    than delegated to qr_panel(P^T) so the two stay independent checks of
-    each other.
+    A := A + (A*W)*Y^T. It is qr_panel's recurrence on P^T, with the same
+    bits as the row-wise recurrence (see _panel).
     """
     _as2d(P, "P")
     b, j = P.shape
     if j < b or b < 1:
         raise ValueError(f"lq_panel needs b x j with j >= b >= 1, got {b} x {j}")
-    Y = np.zeros((j, b), order="F")
-    T = np.zeros((b, b), order="F")
-    tau = np.zeros(b)
-    for s in range(0, b, PANEL_INNER_B):
-        e = min(s + PANEL_INNER_B, b)
-        if s > 0:
-            # right-apply the s accumulated row reflectors to this row block:
-            # A V = A + ((A Y) T) Y^T
-            blk = P[s:e, :]
-            t1 = np.zeros((e - s, s), order="F")
-            matmul(1.0, blk, Y[:, :s], 0.0, t1)
-            t2 = np.zeros((e - s, s), order="F")
-            matmul(1.0, t1, T[:s, :s], 0.0, t2)
-            matmul(1.0, t2, Y[:, :s].T, 1.0, blk)
-        for i in range(s, e):
-            v, ti, beta = house_gen(P[i, i:].copy())
-            tau[i] = ti
-            Y[i:, i] = v
-            P[i, i] = beta
-            P[i, i + 1 :] = v[1:]
-            if i + 1 < e and ti != 0.0:
-                rest = P[i + 1 : e, i:]
-                vcol = v.reshape(-1, 1)
-                t1 = np.zeros((e - i - 1, 1), order="F")
-                matmul(1.0, rest, vcol, 0.0, t1)
-                matmul(-ti, t1, vcol.T, 1.0, rest)
-            _t_extend(T, Y, Y[i:, i], ti, i)
-    W = build_w(Y, T)
+    Y, T, W, tau = _panel(P.T, lq=True)
     L = np.tril(P[:b, :b]).copy(order="F")
     return PanelFactors(y=Y, t=T, w=W, r_or_l=L, tau=tau)
 
@@ -538,14 +694,13 @@ def apply_wy_right(A, factors, workers=None):
 def symm_lower(A2, W, out, workers=None):
     """out := sym(A2) * W where only A2's lower triangle is authoritative.
 
-    Assembles the full symmetric j x j operand once, in SYM_STRIP column
-    blocks (lower part, mirrored diagonal block, transposed column block),
-    and runs one matmul over it, summed by the compiled sum, so every entry
-    of out is one sequential sum over the whole inner range. matmul shares
-    its row tiles among two or more workers. Its accumulator starts at
-    +0.0, and a rounded sum is -0.0 only when both terms are, so a zero's
-    sign in A2 never reaches out. The operand is a j x j transient (about
-    1 MB at j = 352).
+    Each entry of out is one sequential sum over the whole inner range, as
+    one matmul over the full symmetric operand would give. The compiled sum
+    reads that operand straight from A2's lower triangle; two or more
+    workers share ROW_TILE-row tiles of out. Without it, the operand is
+    assembled as a j x j transient and summed by matmul. The accumulator
+    starts at +0.0, and a rounded sum is -0.0 only when both terms are, so
+    a zero's sign in A2 never reaches out.
     """
     _as2d(A2, "A2"), _as2d(W, "W"), _as2d(out, "out")
     j = A2.shape[0]
@@ -553,14 +708,11 @@ def symm_lower(A2, W, out, workers=None):
         raise ValueError("symm_lower shape mismatch")
     if j == 0:
         return out
-    S = np.empty((j, j), order="F")
-    for c0 in range(0, j, SYM_STRIP):
-        c1 = min(c0 + SYM_STRIP, j)
-        d = A2[c0:c1, c0:c1]
-        S[c0:c1, c0:c1] = np.tril(d) + np.tril(d, -1).T
-        S[c1:, c0:c1] = A2[c1:, c0:c1]
-        S[c0:c1, c1:] = A2[c1:, c0:c1].T
-    return matmul(1.0, S, W, 0.0, out, workers, _sum=_COMPILED_SUM)
+    lib = _COMPILED_SUM.lib_for(A2, W, out=(out,))
+    if lib is None:
+        S = np.tril(A2) + np.tril(A2, -1).T
+        return matmul(1.0, S, W, 0.0, out, workers)
+    return matmul(1.0, A2, W, 0.0, out, workers, _sum=_SymmLower(lib.symm_lower))
 
 
 def syr2k_lower(A2, X3, Y, c0, c1, workers=None):

@@ -764,18 +764,32 @@ def _counted_with(sum_, fn, *args):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: the NumPy sum is the only path")
 def test_compiled_sum_runs_wherever_cc_exists(monkeypatch):
-    """The oracle tests of symm_lower and syr2k_lower must not pass on the
-    fallback unnoticed: with cc on PATH, neither kernel sums with NumPy."""
+    """The oracle tests of symm_lower, syr2k_lower and the panels must not
+    pass on the fallback unnoticed: with cc on PATH, none of them sums with
+    NumPy, neither through the compiled sum's fallback nor through a matmul
+    left on its default sum."""
 
     def numpy_sum(*args):
-        raise AssertionError("an SEVP kernel summed with NumPy although cc is on PATH")
+        raise AssertionError("a kernel summed with NumPy although cc is on PATH")
+
+    real_matmul = kernels.matmul
+
+    def compiled_matmul(*args, _sum=None, **kw):
+        if _sum is None:
+            numpy_sum()
+        return real_matmul(*args, _sum=_sum, **kw)
 
     monkeypatch.setattr(kernels, "_accumulate", numpy_sum)
+    monkeypatch.setattr(kernels, "matmul", compiled_matmul)
     A = _rand(70, 70, 67)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         symm_lower(A, _rand(70, 3, 68), np.zeros((70, 3), order="F"))
         syr2k_lower(A, _rand(70, 3, 69), _rand(70, 3, 70), 0, 70)
+        # b > PANEL_INNER_B, so the inner-block update runs too
+        qr_panel(_rand(70, 20, 71))
+        lq_panel(_rand(20, 70, 72))
+        build_w(_rand(70, 5, 73), np.triu(_rand(5, 5, 74)))
     assert kernels._COMPILED_SUM.fn is not None
 
 
@@ -847,6 +861,82 @@ def test_symm_lower_same_bits_and_flops_on_both_sums(case, compiled_sum, numpy_s
     assert got_flops == want_flops
 
 
+PANEL_LAYOUTS = ("F", "view", "C", "strided")
+
+
+def _panel_in_host(values, layout):
+    """(host, P): P a view of values in a NaN-filled host array, so a write
+    outside P shows in the host's bits."""
+    m, n = values.shape
+    if layout == "F":
+        host = np.full((m, n), np.nan, order="F")
+        P = host
+    elif layout == "view":  # inside a larger Fortran array, as in a reduction
+        host = np.full((m + 5, n + 7), np.nan, order="F")
+        P = host[2 : 2 + m, 3 : 3 + n]
+    elif layout == "C":
+        host = np.full((m, n), np.nan)
+        P = host
+    else:
+        host = np.full((2 * m + 1, 3 * n + 2), np.nan, order="F")
+        P = host[1::2, 2::3]
+    P[...] = values
+    return host, P
+
+
+@st.composite
+def _panel_case(draw):
+    b = draw(st.sampled_from([1, 2, 16, 17, 40]))
+    return dict(
+        lq=draw(st.booleans()),
+        j=b + draw(st.integers(0, 60)),
+        b=b,
+        inner=draw(st.sampled_from([1, 2, 3, kernels.PANEL_INNER_B])),
+        layout=draw(st.sampled_from(PANEL_LAYOUTS)),
+        # reflector columns (QR) or rows (LQ) that are all signed zeros: tau = 0
+        zero=draw(st.sets(st.integers(0, b - 1), max_size=3)),
+        # 1: _extreme_values (subnormals, 1e+-300 entries); else whole panel scaled
+        scale=draw(st.sampled_from([1.0, 1e-300, 1e300])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_panel_case())
+def test_compiled_panels_match_numpy_panels_bitwise(case, compiled_sum, numpy_sum):
+    """The compiled column products, build_w and inner-block sums give the
+    NumPy panel's bits for Y, T, W, R or L, tau and the mutated panel
+    (written nowhere else), and its flops."""
+    j, b, lq = case["j"], case["b"], case["lq"]
+    rng = np.random.default_rng(case["seed"])
+    shape = (b, j) if lq else (j, b)
+    if case["scale"] == 1.0:
+        values = _extreme_values(rng, shape)
+    else:
+        values = _values(rng, shape) * case["scale"]
+    for c in case["zero"]:
+        line = values[c, :] if lq else values[:, c]
+        line[...] = rng.choice([0.0, -0.0], size=j)
+    panel = lq_panel if lq else qr_panel
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "PANEL_INNER_B", case["inner"])
+        for sum_ in (compiled_sum, numpy_sum):
+            mp.setattr(kernels, "_COMPILED_SUM", sum_)
+            host, P = _panel_in_host(values, case["layout"])
+            reset_flops()
+            with np.errstate(all="ignore"):
+                f = panel(P)
+            runs.append((host, f, snapshot_flops()))
+    (host1, f1, flops1), (host2, f2, flops2) = runs
+    assert np.array_equal(_bits(host1), _bits(host2))
+    for name in ("y", "t", "w", "r_or_l", "tau"):
+        assert np.array_equal(_bits(getattr(f1, name)), _bits(getattr(f2, name))), name
+    assert flops1 == flops2
+    if case["zero"]:
+        assert np.count_nonzero(f1.tau == 0.0) >= 1
+
+
 def _host_has_fma():
     cpuinfo = Path("/proc/cpuinfo")
     return cpuinfo.is_file() and " fma " in cpuinfo.read_text()
@@ -858,7 +948,7 @@ def test_a_contracted_build_fails_the_bit_check(tmp_path, compiled_sum):
     above would catch a build that contracts."""
     flags = ("-O3", "-march=native", "-ffp-contract=fast", "-fPIC", "-shared")
     try:
-        fused = kernels._load_sum(kernels._build_sum(shutil.which("cc"), flags, tmp_path))
+        fused = kernels._load_lib(kernels._build_sum(shutil.which("cc"), flags, tmp_path)).accumulate
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"cc cannot build with {flags}: {e}")
     A, B, C0 = _rand(200, 16, 60), _rand(16, 64, 61), _rand(200, 64, 62)
@@ -871,35 +961,39 @@ def test_a_contracted_build_fails_the_bit_check(tmp_path, compiled_sum):
     assert differ > 0
 
 
-def _sevp_kernel_outputs(workers=None):
+def _compiled_kernel_outputs(workers=None):
+    """The outputs and flops of every kernel that sums through compiled C."""
     rng = np.random.default_rng(63)
     j, b = 150, 16
     S = _laid_out(_values(rng, (j, j)), "F")
     W, X3, Y = (_laid_out(_values(rng, (j, b)), "F") for _ in range(3))
     out = np.zeros((j, b), order="F")
+    PQ, PL = _laid_out(_values(rng, (j, 20)), "F"), _laid_out(_values(rng, (20, j)), "F")
     reset_flops()
-    symm_lower(S, W, out, workers)
     syr2k_lower(S, X3, Y, 0, j, workers)
-    return out, S, snapshot_flops()
+    symm_lower(S, W, out, workers)
+    factors = qr_panel(PQ), lq_panel(PL)
+    arrays = [out, S, PQ, PL] + [getattr(f, a) for f in factors for a in ("y", "t", "w", "r_or_l", "tau")]
+    return arrays, snapshot_flops()
 
 
 def test_without_a_compiler_the_numpy_sum_warns_once_with_the_same_bits(
     monkeypatch, compiled_sum, pool_workers
 ):
-    want = _sevp_kernel_outputs()
+    want, want_flops = _compiled_kernel_outputs()
     monkeypatch.setattr(kernels, "_find_cc", lambda: None)
     monkeypatch.setattr(kernels, "_COMPILED_SUM", kernels._CompiledSum())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # the first use comes from two pool threads at once
-        runs = [_sevp_kernel_outputs(pool_workers[w]) for w in (2, 0, 1, 2)]
+        # the first use comes from two pool threads at once (syr2k_lower's strips)
+        runs = [_compiled_kernel_outputs(pool_workers[w]) for w in (2, 0, 1, 2)]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "no C compiler" in str(caught[0].message)
     assert kernels._COMPILED_SUM.fn is None
-    for out, S, flops in runs:
-        assert np.array_equal(_bits(out), _bits(want[0]))
-        assert np.array_equal(_bits(S), _bits(want[1]))
-        assert flops == want[2]
+    for arrays, flops in runs:
+        for got, exp in zip(arrays, want, strict=True):
+            assert np.array_equal(_bits(got), _bits(exp))
+        assert flops == want_flops
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o703, 0o777])
