@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import svd
-from .lookahead import plan
+from .lookahead import plan, schedule
 from .svd import SvdForm
 
 __all__ = [
@@ -230,7 +230,8 @@ def enumerate_tasks(m: int, n: int, w: int, b: int, form: SvdForm,
 
     Plans the Reference schedule of ``reduce_band_svd`` (no matrix, no task
     run) and converts its phases with ``_phase_nodes``, so the iteration
-    guard, fringe panel widths and row split are the reduction's own.
+    guard (``lookahead.schedule``), fringe panel widths and row split are
+    the reduction's own.
     ``iters`` truncates to the first iterations; by default the full
     reduction is enumerated.
     """
@@ -248,8 +249,9 @@ def enumerate_tasks(m: int, n: int, w: int, b: int, form: SvdForm,
         raise ValueError(f"task enumeration requires m >= n: the reduction "
                          f"runs {m} x {n} as its {n} x {m} transpose")
     state = svd._BandState(None, svd.SvdConfig(m, n, w, b, form))
-    ks = svd._band_schedule(state)[:iters]
-    return _phase_nodes(plan(lambda k: svd._band_stream(state, k, False), ks), b)
+    widths = schedule(m, n, state.s, b)
+    ks = list(widths)[:iters]
+    return _phase_nodes(plan(lambda k: svd._band_stream(state, k, widths[k], False), ks), b)
 
 
 def _ranges_to_array(tasks: Sequence[TaskNode], attr: str) -> np.ndarray:

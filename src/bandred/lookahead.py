@@ -1,4 +1,12 @@
-"""Static look-ahead: one planner turns per-iteration task streams into phases.
+"""The iteration skeleton the two reductions share, and the look-ahead planner.
+
+Both reductions are one two-stage scheme: iteration k factors a QR panel
+(and, for the SVD, an LQ panel) and applies the factors to the rest of the
+matrix. This module holds what their iterations have in common: the
+schedule guard (schedule), the panel and apply task factories (panel_task,
+apply_task), the rule on b and w for the look-ahead variants
+(check_variant), the run loop (run), and the planner (plan) that turns
+per-iteration task streams into phases.
 
 A reduction hands the planner a stream per iteration: that iteration's
 tasks in Reference order. Panels are the stream's tasks whose reads equal
@@ -35,10 +43,12 @@ there are several) on the sequential list and <id-base>-rest on the
 parallel one; an update the cut misses keeps its id.
 """
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .runtime import PhasePlan, Task
+from .flops import flop_scope
+from .runtime import EventTrace, ExecGroups, PhasePlan, Task, run_phase
 
 
 class V2Mapping(Enum):
@@ -73,6 +83,58 @@ class Stream:
     items: list
     row_cut: int = 0
     col_cut: int = 0
+
+
+def check_variant(variant, b, w):
+    """V1 needs 2b <= w; V2 runs any b <= w but warns when 2b <= w, since
+    V1 covers that regime with one phase per iteration instead of two.
+    Called from a config's validate, so the warning points at the caller
+    of the reduction."""
+    if variant.value == "v1" and 2 * b > w:
+        raise ValueError(f"V1 requires 2b <= w, got b={b}, w={w}")
+    if variant.value == "v2" and 2 * b <= w:
+        warnings.warn(
+            f"V2 with 2b <= w (b={b}, w={w}) is valid but outside "
+            "its intended regime; V1 covers this case",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
+
+def schedule(m, n, s, b):
+    """The panel width of every iteration of an m x n reduction whose QR
+    panels start s rows below the diagonal, keyed by its leading column, in
+    order. Panels shrink at the fringe; a one-row remainder is already
+    within the band, so it is left alone."""
+    widths = {}
+    k = 0
+    while m - k - s >= 2 and k < n:
+        widths[k] = min(b, m - k - s, n - k)
+        k += widths[k]
+    return widths
+
+
+def panel_task(task_id, A, span, factor, factors, k):
+    """The task that factors A's block at span in place with factor
+    (qr_panel or lq_panel) and keeps the factors as factors[k]."""
+    rows, cols = slice(*span.rows), slice(*span.cols)
+
+    def fn(workers):
+        factors[k] = factor(A[rows, cols])
+
+    return Task(task_id, fn, [span], [span])
+
+
+def apply_task(task_id, M, span, apply, factors, k, panel):
+    """The task that applies factors[k] to M's block at span in place with
+    apply (apply_wy_left or apply_wy_right). It reads panel, the span whose
+    factorization makes factors[k], first (see runtime.Task)."""
+    rows, cols = slice(*span.rows), slice(*span.cols)
+
+    def fn(workers):
+        apply(M[rows, cols], factors[k], workers)
+
+    return Task(task_id, fn, [span], [panel, span])
 
 
 def _task(item):
@@ -163,3 +225,20 @@ def plan(stream, ks, lookahead=False, v2_mapping=None):
             label += "/p2"
         yield _cut(items, nxt, label)
         cur = nxt
+
+
+def run(phases, groups):
+    """Run phases in order on groups (one worker when None) under a fresh
+    trace; return the flops they counted."""
+    own = groups is None
+    if own:
+        groups = ExecGroups(1, 0)
+    groups.trace = EventTrace()
+    try:
+        with flop_scope() as counted:
+            for phase in phases:
+                run_phase(phase, groups)
+    finally:
+        if own:
+            groups.close()
+    return counted.snapshot()

@@ -159,7 +159,8 @@ class Workers:
 class ExecGroups:
     """Worker pools split into a sequential group (ts_count) and a parallel
     group (total_workers - ts_count), plus a full-width pool used when a
-    phase has no sequential work (or ts_count = 0: no look-ahead at all).
+    phase has no sequential work or a group has no workers. The two group
+    pools exist only when both groups have workers.
 
     Owns the EventTrace of the phases run on it. Each reduction starts it
     afresh, so it holds the records of the latest reduction only.
@@ -177,12 +178,10 @@ class ExecGroups:
         self.tp_count = total_workers - ts_count
         self.trace = EventTrace()
         self._all = ThreadPoolExecutor(max_workers=total_workers)
-        self._seq = ThreadPoolExecutor(max_workers=ts_count) if ts_count >= 1 else None
-        self._par = (
-            ThreadPoolExecutor(max_workers=self.tp_count)
-            if ts_count >= 1 and self.tp_count >= 1
-            else None
-        )
+        self._seq = self._par = None
+        if ts_count >= 1 and self.tp_count >= 1:
+            self._seq = ThreadPoolExecutor(max_workers=ts_count)
+            self._par = ThreadPoolExecutor(max_workers=self.tp_count)
 
     def close(self):
         for pool in (self._seq, self._par, self._all):
@@ -232,7 +231,7 @@ def run_phase(plan, groups):
     _check_hazards(plan)
     trace = groups.trace
 
-    if groups.ts_count == 0 or not plan.seq_tasks:
+    if groups._par is None or not plan.seq_tasks:
         # Single-pool execution at full width: seq list (if any), then par.
         w = Workers(groups._all, groups.total_workers)
 
@@ -241,14 +240,6 @@ def run_phase(plan, groups):
             _run_list(plan.par_tasks, w, "par", trace)
 
         _submit(groups._all, run_all).result()
-    elif groups.tp_count == 0:
-        w = Workers(groups._seq, groups.ts_count)
-
-        def run_both():
-            _run_list(plan.seq_tasks, w, "seq", trace)
-            _run_list(plan.par_tasks, w, "par", trace)
-
-        _submit(groups._seq, run_both).result()
     else:
         ws = Workers(groups._seq, groups.ts_count)
         wp = Workers(groups._par, groups.tp_count)

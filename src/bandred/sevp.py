@@ -7,6 +7,12 @@ A[k+w:n, k+w:n] (lower triangle authoritative) through the four-step
 X1/X2/X3 + rank-2k form. Only the lower triangle is touched; the result is
 mirrored and off-band entries are zeroed exactly at the end.
 
+An SEVP iteration is the band-form SVD iteration's QR half plus a
+symmetric trailing update, so the two reductions share one iteration
+skeleton in bandred.lookahead: the schedule guard (at m = n, QR row shift
+w), the panel and apply task factories, the V1/V2 rule and the run loop.
+Only the X products and the trailing update are this module's own.
+
 Each iteration's tasks, in Reference order, form its stream (_stream);
 bandred.lookahead.plan turns the streams into phases for three schedules
 over identical task bodies:
@@ -30,16 +36,16 @@ meets a read or write of the other, by construction and checked at runtime
 against every task's declared spans.
 """
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
-from .lookahead import Stream, Update, V2Mapping, plan
-from .runtime import EventTrace, ExecGroups, Span, Task, run_phase
+from .lookahead import (
+    Stream, Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
+)
+from .runtime import Span, Task
 
 
 class SevpVariant(Enum):
@@ -64,15 +70,7 @@ class SevpConfig:
             raise ValueError("w >= 1")
         if not (1 <= self.b <= self.w):
             raise ValueError("need 1 <= b <= w")
-        if self.variant == SevpVariant.V1 and 2 * self.b > self.w:
-            raise ValueError(f"V1 requires 2b <= w, got b={self.b}, w={self.w}")
-        if self.variant == SevpVariant.V2 and 2 * self.b <= self.w:
-            warnings.warn(
-                f"V2 with 2b <= w (b={self.b}, w={self.w}) is valid but outside "
-                "its intended regime; V1 covers this case",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        check_variant(self.variant, self.b, self.w)
 
 
 @dataclass
@@ -95,69 +93,18 @@ class _State:
         self.A = A
         self.n = cfg.n
         self.w = cfg.w
-        self.b = cfg.b
         self.factors = {}
         self.Q = np.eye(cfg.n, order="F") if cfg.accumulate_q else None
 
 
-def _schedule(n, w, b):
-    """Leading columns of all iterations; panels shrink at the fringe and a
-    one-row remainder is already within the band, so it is left alone."""
-    ks = []
-    k = 0
-    while n - k - w >= 2:
-        ks.append(k)
-        k += min(b, n - k - w)
-    return ks
+# --- the X products and the trailing update, shared verbatim by every schedule
 
 
-def _bp(state, k):
-    return min(state.b, state.n - k - state.w)
-
-
-def _panel(state, k):
-    """Span of iteration k's QR panel, which every task applying its
-    factors reads first (see runtime.Task)."""
-    return Span("A", (k + state.w, state.n), (k, k + _bp(state, k)))
-
-
-# --- task bodies, shared verbatim by every schedule ---------------------
-
-
-def _qr_task(state, k, bp):
+def _x_tasks(state, k, panel):
+    """X1 = sym(A2)*W; X2 = (1/2)X1^T W; X3 = X1 + Y*X2, for the j x bp
+    QR panel at span panel."""
     n, w = state.n, state.w
-
-    def fn(workers):
-        f = qr_panel(state.A[k + w : n, k : k + bp])
-        state.factors[k] = f
-
-    span = _panel(state, k)
-    return Task(f"qr@{k}", fn, [span], [span])
-
-
-def _q_task(state, k):
-    n, w = state.n, state.w
-
-    def fn(workers):
-        apply_wy_right(state.Q[:, k + w : n], state.factors[k], workers)
-
-    span = Span("Q", (0, n), (k + w, n))
-    return Task(f"accq@{k}", fn, [span], [_panel(state, k), span])
-
-
-def _mid_task(state, k, c0, c1, tag):
-    n, w = state.n, state.w
-
-    def fn(workers):
-        apply_wy_left(state.A[k + w : n, c0:c1], state.factors[k], workers)
-
-    span = Span("A", (k + w, n), (c0, c1))
-    return Task(f"mid{tag}@{k}", fn, [span], [_panel(state, k), span])
-
-
-def _x_tasks(state, k, bp, j):
-    """X1 = sym(A2)*W; X2 = (1/2)X1^T W; X3 = X1 + Y*X2."""
-    n, w = state.n, state.w
+    j, bp = panel.rows[1] - panel.rows[0], panel.cols[1] - panel.cols[0]
     X1 = np.zeros((j, bp), order="F")
     X2 = np.zeros((bp, bp), order="F")
     X3 = np.zeros((j, bp), order="F")
@@ -172,7 +119,6 @@ def _x_tasks(state, k, bp, j):
         X3[...] = X1
         matmul(1.0, state.factors[k].y, X2, 1.0, X3)
 
-    panel = _panel(state, k)
     x1 = Span(f"X1@{k}", (0, j), (0, bp))
     x2 = Span(f"X2@{k}", (0, bp), (0, bp))
     x3 = Span(f"X3@{k}", (0, j), (0, bp))
@@ -183,7 +129,7 @@ def _x_tasks(state, k, bp, j):
     return (t1, t2, t3), X3
 
 
-def _syr2k_task(state, k, X3, c0, c1, tag):
+def _syr2k_task(state, k, X3, panel, c0, c1, tag):
     n, w = state.n, state.w
 
     def fn(workers):
@@ -193,32 +139,37 @@ def _syr2k_task(state, k, X3, c0, c1, tag):
 
     span = Span("A", (k + w + c0, n), (k + w + c0, k + w + c1))
     x3 = Span(f"X3@{k}", (c0, n - k - w), (0, X3.shape[1]))
-    return Task(f"trail{tag}@{k}", fn, [span], [_panel(state, k), x3, span])
+    return Task(f"trail{tag}@{k}", fn, [span], [panel, x3, span])
 
 
 # --- the iteration's task stream -----------------------------------------
 
 
-def _stream(state, k):
+def _stream(state, k, bp):
     """Iteration k's tasks in Reference order. With no LQ panel there is no
     row cut, so the trailing update is only cut into column strips, each
     the lower part of its columns."""
-    n, w = state.n, state.w
-    bp, t = _bp(state, k), k + w
-    qr = _qr_task(state, k, bp)
-    items = [qr]
+    n, t, f = state.n, k + state.w, state.factors
+    panel = Span("A", (t, n), (k, k + bp))
+    items = [panel_task(f"qr@{k}", state.A, panel, qr_panel, f, k)]
     if state.Q is not None:
-        items.append(_q_task(state, k))
-    if bp < w:
-        items.append(Update((t, n), (k + bp, t), lambda r, c, tag: _mid_task(state, k, *c, tag)))
-    xt, X3 = _x_tasks(state, k, bp, n - t)
+        q = Span("Q", (0, n), (t, n))
+        items.append(apply_task(f"accq@{k}", state.Q, q, apply_wy_right, f, k, panel))
+
+    def mid(rows, cols, tag):
+        span = Span("A", rows, cols)
+        return apply_task(f"mid{tag}@{k}", state.A, span, apply_wy_left, f, k, panel)
+
+    if bp < state.w:
+        items.append(Update((t, n), (k + bp, t), mid))
+    xt, X3 = _x_tasks(state, k, panel)
     items.extend(xt)
 
     def trail(rows, cols, tag):
-        return _syr2k_task(state, k, X3, cols[0] - t, cols[1] - t, tag)
+        return _syr2k_task(state, k, X3, panel, cols[0] - t, cols[1] - t, tag)
 
     items.append(Update((t, n), (t, n), trail))
-    return Stream(items, col_cut=qr.writes[0].cols[1])
+    return Stream(items, col_cut=k + bp)
 
 
 def _finalize(A, n, w):
@@ -251,23 +202,11 @@ def reduce_sym_band(A, cfg, groups=None):
     if not np.isfinite(A)[np.tri(cfg.n, dtype=bool)].all():
         raise ValueError("reduce_sym_band: the lower triangle holds NaN or Inf")
 
-    ks = _schedule(cfg.n, cfg.w, cfg.b)
-    own = groups is None
-    if own:
-        groups = ExecGroups(1, 0)
-    groups.trace = EventTrace()
+    widths = schedule(cfg.n, cfg.n, cfg.w, cfg.b)
     state = _State(A, cfg)
     v2_mapping = cfg.v2_mapping if cfg.variant is SevpVariant.V2 else None
-    phases = plan(
-        lambda k: _stream(state, k), ks, cfg.variant is not SevpVariant.REFERENCE, v2_mapping
-    )
-    try:
-        with flop_scope() as counted:
-            for phase in phases:
-                run_phase(phase, groups)
-    finally:
-        if own:
-            groups.close()
-    flops = counted.snapshot()
+    lookahead = cfg.variant is not SevpVariant.REFERENCE
+    phases = plan(lambda k: _stream(state, k, widths[k]), list(widths), lookahead, v2_mapping)
+    flops = run(phases, groups)
     band = _finalize(state.A, cfg.n, cfg.w)
-    return SevpResult(band=band, q=state.Q, flops=flops, iterations=len(ks))
+    return SevpResult(band=band, q=state.Q, flops=flops, iterations=len(widths))

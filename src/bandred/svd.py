@@ -14,6 +14,11 @@ Band form (s = w, m >= n): the QR panel starts w rows down, so the matrix
 keeps lower bandwidth w and the left/right panel chains decouple enough for
 look-ahead at any block size.
 
+The iteration skeleton is bandred.lookahead's, shared with the symmetric
+reduction: the schedule guard, the panel and apply task factories, the
+V1/V2 rule and the run loop. Only the Simultaneous Z/X products and the
+fused D update are this module's own.
+
 Each iteration's tasks, in Reference order, form its stream (_band_stream);
 bandred.lookahead.plan turns the streams into phases. Band-form schedules
 over identical task bodies:
@@ -49,10 +54,11 @@ from enum import Enum
 
 import numpy as np
 
-from .flops import flop_scope
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
-from .lookahead import Stream, Update, V2Mapping, plan
-from .runtime import EventTrace, ExecGroups, Span, Task, run_phase
+from .lookahead import (
+    Stream, Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
+)
+from .runtime import Span, Task
 
 
 class SvdForm(Enum):
@@ -89,15 +95,8 @@ class SvdConfig:
                 raise ValueError(
                     "triangular-band form supports only the reference schedule"
                 )
-        elif self.variant == SvdVariant.V1 and 2 * self.b > self.w:
-            raise ValueError(f"V1 requires 2b <= w, got b={self.b}, w={self.w}")
-        elif self.variant == SvdVariant.V2 and 2 * self.b <= self.w:
-            warnings.warn(
-                f"V2 with 2b <= w (b={self.b}, w={self.w}) is valid but outside "
-                "its intended regime; V1 covers this case",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        else:
+            check_variant(self.variant, self.b, self.w)
 
 
 @dataclass
@@ -118,95 +117,27 @@ def svd_nominal_flops(m, n):
     return round(4 * (m * n * n - n**3 / 3))
 
 
-# --- shared task bodies -----------------------------------------------------
-
-
 class _BandState:
     def __init__(self, A, cfg):
         self.A = A
         self.m = cfg.m
         self.n = cfg.n
         self.w = cfg.w
-        self.b = cfg.b
         # QR row shift: the band form's panel starts w rows down
         self.s = cfg.w if cfg.form is SvdForm.BAND else 0
         self.fu = {}
         self.fv = {}
 
 
-def _band_schedule(state):
-    m, n, s, b = state.m, state.n, state.s, state.b
-    ks = []
-    k = 0
-    while m - k - s >= 2 and k < n:
-        ks.append(k)
-        k += min(b, m - k - s, n - k)
-    return ks
+# --- the Simultaneous products and D update -------------------------------
 
 
-def _band_geom(state, k):
-    bp = min(state.b, state.m - k - state.s, state.n - k)
-    jr = state.n - k - state.w
-    bq = min(bp, jr) if jr >= 1 else 0
-    return bp, jr, bq
-
-
-def _qr_span(state, k):
-    bp = _band_geom(state, k)[0]
-    return Span("A", (k + state.s, state.m), (k, k + bp))
-
-
-def _lq_span(state, k):
-    bq = _band_geom(state, k)[2]
-    return Span("A", (k, k + bq), (k + state.w, state.n))
-
-
-def _qr0_task(state, k, bp):
-    m, s = state.m, state.s
-
-    def fn(workers):
-        state.fu[k] = qr_panel(state.A[k + s : m, k : k + bp])
-
-    span = _qr_span(state, k)
-    return Task(f"qr@{k}", fn, [span], [span])
-
-
-def _lq0_task(state, k, bq):
-    n, w = state.n, state.w
-
-    def fn(workers):
-        state.fv[k] = lq_panel(state.A[k : k + bq, k + w : n])
-
-    span = _lq_span(state, k)
-    return Task(f"lq@{k}", fn, [span], [span])
-
-
-def _left_task(state, k, c0, c1, tag):
-    m, s = state.m, state.s
-
-    def fn(workers):
-        apply_wy_left(state.A[k + s : m, c0:c1], state.fu[k], workers)
-
-    span = Span("A", (k + s, m), (c0, c1))
-    return Task(f"left{tag}@{k}", fn, [span], [_qr_span(state, k), span])
-
-
-def _right_task(state, k, r0, r1, tag):
-    n, w = state.n, state.w
-
-    def fn(workers):
-        apply_wy_right(state.A[r0:r1, k + w : n], state.fv[k], workers)
-
-    span = Span("A", (r0, r1), (k + w, n))
-    return Task(f"right{tag}@{k}", fn, [span], [_lq_span(state, k), span])
-
-
-def _fused_tasks(state, k, bp, jr, bq):
+def _fused_tasks(state, k, qr, lq):
     """Z_L = D^T W_U, Z_R = D W_V, X = Z_R + Y_U (Z_L^T W_V); both Z products
     read D before any write to it (the whole point of the fused update).
-    Band form only."""
+    qr and lq are iteration k's panel spans. Band form only."""
     m, n, w = state.m, state.n, state.w
-    i = m - k - w
+    i, jr, bp, bq = m - k - w, n - k - w, qr.cols[1] - k, lq.rows[1] - k
     ZL = np.zeros((jr, bp), order="F")
     ZR = np.zeros((i, bq), order="F")
     X = np.zeros((i, bq), order="F")
@@ -223,7 +154,6 @@ def _fused_tasks(state, k, bp, jr, bq):
         X[...] = ZR
         matmul(1.0, state.fu[k].y, tmp, 1.0, X)
 
-    qr, lq = _qr_span(state, k), _lq_span(state, k)
     D = Span("A", (k + w, m), (k + w, n))
     zl = Span(f"ZL@{k}", (0, jr), (0, bp))
     zr = Span(f"ZR@{k}", (0, i), (0, bq))
@@ -233,7 +163,7 @@ def _fused_tasks(state, k, bp, jr, bq):
     return (t1, t2, t3), (ZL, X)
 
 
-def _dsub_task(state, k, ZL, X, r0, r1, c0, c1, tag):
+def _dsub_task(state, k, ZL, X, qr, lq, r0, r1, c0, c1, tag):
     """D[r0:r1, c0:c1] += X Y_V^T + Y_U Z_L^T (D-local indices). The two
     products run in this fixed order for every sub-block, so any 2x2 split
     of D is bitwise identical to one full-D pass."""
@@ -246,8 +176,8 @@ def _dsub_task(state, k, ZL, X, r0, r1, c0, c1, tag):
 
     span = Span("A", (k + w + r0, k + w + r1), (k + w + c0, k + w + c1))
     reads = [
-        _qr_span(state, k),
-        _lq_span(state, k),
+        qr,
+        lq,
         Span(f"X@{k}", (r0, r1), (0, X.shape[1])),
         Span(f"ZL@{k}", (c0, c1), (0, ZL.shape[1])),
         span,
@@ -258,47 +188,43 @@ def _dsub_task(state, k, ZL, X, r0, r1, c0, c1, tag):
 # --- the iteration's task stream ------------------------------------------
 
 
-def _band_stream(state, k, fused):
-    """Iteration k's tasks in Reference order: the two D applications one
-    after the other, or fused into one pass (Simultaneous)."""
-    m, n, w, s = state.m, state.n, state.w, state.s
-    bp, jr, bq = _band_geom(state, k)
-    qr = _qr0_task(state, k, bp)
-    stream = Stream([qr], col_cut=qr.writes[0].cols[1])
+def _band_stream(state, k, bp, fused):
+    """Iteration k's tasks in Reference order, its QR panel bp wide: the two
+    D applications one after the other, or fused into one pass
+    (Simultaneous)."""
+    A, m, n, w, s, fu, fv = state.A, state.m, state.n, state.w, state.s, state.fu, state.fv
+    jr = n - k - w
+    qr = Span("A", (k + s, m), (k, k + bp))
 
-    def left(c0, c1, base):
-        return Update(
-            (k + s, m), (c0, c1), lambda r, c, tag: _left_task(state, k, *c, base + tag)
-        )
+    def update(rows, cols, name, apply, factors, panel):
+        def make(r, c, tag):
+            return apply_task(f"{name}{tag}@{k}", A, Span("A", r, c), apply, factors, k, panel)
 
-    def right(r0, r1, base):
-        return Update(
-            (r0, r1), (k + w, n), lambda r, c, tag: _right_task(state, k, *r, base + tag)
-        )
+        return Update(rows, cols, make)
 
+    items = [panel_task(f"qr@{k}", A, qr, qr_panel, fu, k)]
     b1end = min(k + w, n)
     if k + bp < b1end:
-        stream.items.append(left(k + bp, b1end, "-b1"))
+        items.append(update((k + s, m), (k + bp, b1end), "left-b1", apply_wy_left, fu, qr))
     if jr < 1:
-        return stream
-    lq = _lq0_task(state, k, bq)
-    stream.row_cut = lq.writes[0].rows[1]
+        return Stream(items, col_cut=k + bp)
+    bq = min(bp, jr)
+    lq = Span("A", (k, k + bq), (k + w, n))
     if not fused:
-        stream.items.append(left(k + w, n, "-d"))
-    stream.items.append(lq)
-    if k + bq < k + w:
-        stream.items.append(right(k + bq, k + w, "-c1"))
+        items.append(update((k + s, m), (k + w, n), "left-d", apply_wy_left, fu, qr))
+    items.append(panel_task(f"lq@{k}", A, lq, lq_panel, fv, k))
+    if bq < w:
+        items.append(update((k + bq, k + w), (k + w, n), "right-c1", apply_wy_right, fv, lq))
     if not fused:
-        stream.items.append(right(k + w, m, "-d"))
-        return stream
-    products, (ZL, X) = _fused_tasks(state, k, bp, jr, bq)
-    stream.items.extend(products)
+        items.append(update((k + w, m), (k + w, n), "right-d", apply_wy_right, fv, lq))
+    else:
+        products, (ZL, X) = _fused_tasks(state, k, qr, lq)
 
-    def dsub(r, c, tag):
-        return _dsub_task(state, k, ZL, X, *(i - k - w for i in (*r, *c)), "-d" + tag)
+        def dsub(r, c, tag):
+            return _dsub_task(state, k, ZL, X, qr, lq, *(i - k - w for i in (*r, *c)), "-d" + tag)
 
-    stream.items.append(Update((k + w, m), (k + w, n), dsub))
-    return stream
+        items += [*products, Update((k + w, m), (k + w, n), dsub)]
+    return Stream(items, row_cut=k + bq, col_cut=k + bp)
 
 
 def reduce_band_svd(A, cfg, groups=None):
@@ -334,30 +260,21 @@ def reduce_band_svd(A, cfg, groups=None):
 
     tri = cfg.form is SvdForm.TRIANGULAR_BAND
     state = _BandState(A, cfg)
-    ks = _band_schedule(state)
-    own = groups is None
-    if own:
-        groups = ExecGroups(1, 0)
-    groups.trace = EventTrace()
+    widths = schedule(cfg.m, cfg.n, state.s, cfg.b)
     fused = cfg.variant in (SvdVariant.SIMULTANEOUS, SvdVariant.V2)
     lookahead = cfg.variant in (SvdVariant.V1, SvdVariant.V2)
     v2_mapping = cfg.v2_mapping if cfg.variant is SvdVariant.V2 else None
-    phases = plan(lambda k: _band_stream(state, k, fused), ks, lookahead, v2_mapping)
-    try:
-        with flop_scope() as counted:
-            for phase in phases:
-                run_phase(phase, groups)
-    finally:
-        if own:
-            groups.close()
-    flops = counted.snapshot()
+    phases = plan(
+        lambda k: _band_stream(state, k, widths[k], fused), list(widths), lookahead, v2_mapping
+    )
+    flops = run(phases, groups)
     i = np.arange(cfg.m)[:, None]
     jj = np.arange(cfg.n)[None, :]
     if tri:
         A[(i > jj) | (jj > i + cfg.w)] = 0.0
-        return SvdResult(A, flops, SvdForm.TRIANGULAR_BAND, 0, cfg.w, len(ks))
+        return SvdResult(A, flops, SvdForm.TRIANGULAR_BAND, 0, cfg.w, len(widths))
     A[np.abs(i - jj) > cfg.w] = 0.0
-    return SvdResult(A, flops, SvdForm.BAND, cfg.w, cfg.w, len(ks))
+    return SvdResult(A, flops, SvdForm.BAND, cfg.w, cfg.w, len(widths))
 
 
 def reduce_tri_band(A, w, b, groups=None):

@@ -3,8 +3,7 @@ from __future__ import annotations
 # Import the package before anything else pulls in numpy, so the BLAS thread
 # pins in bandred.__init__ take effect for the whole test process.
 import bandred  # noqa: F401
-import bandred.sevp
-import bandred.svd
+import bandred.lookahead
 import pytest
 from bandred import depgraph
 
@@ -13,8 +12,9 @@ from bandred import depgraph
 def captured_plans(monkeypatch):
     """Every PhasePlan the reductions hand to run_phase, in order.
 
-    Wraps run_phase where sevp and svd look it up, so the tasks, their
-    declared spans and the phase order are exactly what ran."""
+    Wraps run_phase where the reductions' shared run loop (lookahead.run)
+    looks it up, so the tasks, their declared spans and the phase order are
+    exactly what ran."""
     plans = []
     real = bandred.runtime.run_phase
 
@@ -22,8 +22,7 @@ def captured_plans(monkeypatch):
         plans.append(plan)
         return real(plan, groups)
 
-    for mod in (bandred.sevp, bandred.svd):
-        monkeypatch.setattr(mod, "run_phase", capture)
+    monkeypatch.setattr(bandred.lookahead, "run_phase", capture)
     return plans
 
 

@@ -26,6 +26,7 @@ from bandred import (
     matmul,
     orth_residual,
     qr_panel,
+    Span,
     reset_flops,
     snapshot_flops,
 )
@@ -683,9 +684,10 @@ def _two_sided(A2, f):
     through the SEVP task bodies: the X1/X2/X3 products, then the rank-2k
     trailing update, with A2 as the trailing block of iteration k = 0."""
     j, b = f.y.shape
-    state = SimpleNamespace(A=A2, n=j, w=0, b=b, factors={0: f})
-    xprods, X3 = sevp._x_tasks(state, 0, b, j)
-    for task in (*xprods, sevp._syr2k_task(state, 0, X3, 0, j, "")):
+    state = SimpleNamespace(A=A2, n=j, w=0, factors={0: f})
+    panel = Span("A", (0, j), (0, b))
+    xprods, X3 = sevp._x_tasks(state, 0, panel)
+    for task in (*xprods, sevp._syr2k_task(state, 0, X3, panel, 0, j, "")):
         task.fn(None)
 
 

@@ -1,7 +1,7 @@
 """The look-ahead planner, checked on plans alone: nothing here runs a task.
 
-run_phase is replaced by a recorder in sevp and svd, so each reduction
-only plans. The pinned digests fix every schedule's phases (labels, the
+run_phase is replaced by a recorder where the reductions' shared run loop
+(lookahead.run) looks it up, so each reduction only plans. The pinned digests fix every schedule's phases (labels, the
 group, order and declared spans of every task; not the task ids) over a
 grid of shapes; the property tests check the rules the planner promises.
 """
@@ -88,8 +88,7 @@ def planned(monkeypatch):
         plans.append(plan)
         return groups.trace
 
-    for mod in (bandred.sevp, bandred.svd):
-        monkeypatch.setattr(mod, "run_phase", record)
+    monkeypatch.setattr(lookahead, "run_phase", record)
 
     def planned(cfg):
         plans.clear()

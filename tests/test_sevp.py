@@ -214,10 +214,12 @@ def test_v2_next_panel_waits_for_mid_and_x_products():
 
 
 def test_variant_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^V1 requires 2b <= w, got b=3, w=4$"):
         reduce_sym_band(_sym(20, 0), _cfg(20, 4, 3, SevpVariant.V1))  # 2b > w
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="V2 with 2b <= w") as got:
         reduce_sym_band(_sym(20, 0), _cfg(20, 6, 2, SevpVariant.V2))  # 2b <= w
+    # the warning points at the caller of reduce_sym_band
+    assert [r.filename for r in got] == [__file__]
 
 
 def test_input_validation():

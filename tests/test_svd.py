@@ -311,6 +311,14 @@ def test_config_validation():
         _cfg(10, 8, 4, 3, SvdVariant.V1).validate()  # 2b > w
     with pytest.warns(RuntimeWarning):
         _cfg(10, 8, 6, 2, SvdVariant.V2).validate()
+    with pytest.raises(ValueError, match=r"^V1 requires 2b <= w, got b=3, w=4$"):
+        reduce_band_svd(_rand(10, 8, 0), _cfg(10, 8, 4, 3, SvdVariant.V1))
+    # reduce_band_svd's V2 warning points at its caller, once, also when it
+    # reduces a wide matrix through its transpose
+    for m, n in ((10, 8), (8, 10)):
+        with pytest.warns(RuntimeWarning, match="V2 with 2b <= w") as got:
+            reduce_band_svd(_rand(m, n, 0), _cfg(m, n, 6, 2, SvdVariant.V2))
+        assert [r.filename for r in got] == [__file__]
     with pytest.raises(ValueError):
         _cfg(10, 8, 4, 5).validate()  # b > w
     with pytest.raises(ValueError):
