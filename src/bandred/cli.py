@@ -96,7 +96,7 @@ def load_matrix(path: str) -> np.ndarray:
         if len(head) != 2:
             raise ValueError(f"{path}: first line must be 'rows cols'")
         m, n = int(head[0]), int(head[1])
-        vals = np.loadtxt(fh, dtype=np.float64).reshape(-1)
+        vals = np.array(fh.read().split(), dtype=np.float64)
     if vals.size != m * n:
         raise ValueError(f"{path}: expected {m * n} values, found {vals.size}")
     return vals.reshape((m, n), order="F")
@@ -185,11 +185,17 @@ def _emit(row: list[str]) -> None:
 def _run_bench(args, parser) -> int:
     is_sevp = args.algo.startswith("sevp")
     if args.load:
-        a_in = load_matrix(args.load)
+        try:
+            a_in = load_matrix(args.load)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--load: {exc}")
         m, n = a_in.shape
         if is_sevp and m != n:
             parser.error(f"{args.algo} needs a square matrix, "
                          f"loaded {m}x{n}")
+        if not np.isfinite(np.tril(a_in) if is_sevp else a_in).all():
+            parser.error(f"--load: {args.load} holds NaN or Inf "
+                         f"where {args.algo} reads it")
     else:
         if args.n is None:
             parser.error("--n is required unless --load is given")
@@ -200,8 +206,6 @@ def _run_bench(args, parser) -> int:
         if m < 1:
             parser.error("--m must be positive")
         a_in = gen_sym(n, args.seed) if is_sevp else gen_general(m, n, args.seed)
-    if args.dump:
-        save_matrix(args.dump, a_in)
     if args.w < 1:
         parser.error("--w must be positive")
     if args.threads < 1:
@@ -229,6 +233,8 @@ def _run_bench(args, parser) -> int:
             parser.error(str(exc))
         configs.append(cfg)
 
+    if args.dump:
+        save_matrix(args.dump, a_in)
     print(CSV_HEADER, flush=True)
     # m < n runs through the transpose, so charge the transposed problem
     nominal = (sevp_nominal_flops(n) if is_sevp

@@ -28,19 +28,17 @@ or spilling into the trailing update (2b > w). One rule covers both:
                the parallel one, ON_ALL everything on the parallel one.
                The rest is iter@k/p2. Otherwise iteration k is one phase,
                iter@k.
-  Cut          every update is cut at the next iteration's row cut (the
-               row end of its LQ panel) and column cut (the column end of
-               its QR panel). Cells above the row cut or left of the
-               column cut go to the sequential list, in column-major cell
-               order, and so do updates lying wholly there; everything
-               else goes to the parallel list in stream order.
-  Next panels  each goes on the sequential list after the head pieces of
-               the last update whose heads it reads, or else after the
-               first stream item's heads, keeping stream order.
+  Placement    the sequential list holds the next panels and exactly what
+               they read: each update is cut where a next panel's row end
+               or column end falls strictly inside it, and the cells that
+               meet a next panel's reads go there in column-major order.
+               Each next panel, in stream order, follows the pieces of the
+               last update it reads, or else the first item's. The rest
+               goes to the parallel list in stream order.
 
-An update the cut touches becomes <id-base>-head (-head1, -head2, ... when
-there are several) on the sequential list and <id-base>-rest on the
-parallel one; an update the cut misses keeps its id.
+An update wholly on one list keeps its id; one on both becomes
+<id-base>-head (-head1, -head2, ... when there are several) on the
+sequential list and <id-base>-rest (-rest1, -rest2, ...) on the parallel one.
 """
 
 import warnings
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .flops import flop_scope
-from .runtime import EventTrace, ExecGroups, PhasePlan, Task, run_phase
+from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
 
 
 class V2Mapping(Enum):
@@ -72,17 +70,6 @@ class Update:
 
     def whole(self):
         return self.make(self.rows, self.cols, "")
-
-
-@dataclass
-class Stream:
-    """One iteration's tasks and Updates in Reference order, and where its
-    panels cut the previous iteration's updates: row_cut is the row end of
-    its LQ panel, col_cut the column end of its QR panel, 0 without one."""
-
-    items: list
-    row_cut: int = 0
-    col_cut: int = 0
 
 
 def check_variant(variant, b, w):
@@ -149,68 +136,75 @@ def _is_product(item):
     return isinstance(item, Task) and all(s.target not in ("A", "Q") for s in item.writes)
 
 
-def _split(span, cut):
-    lo, hi = span
-    return [(lo, cut), (cut, hi)] if lo < cut < hi else [span]
+def _split(span, ends):
+    bounds = [span[0], *sorted({e for e in ends if span[0] < e < span[1]}), span[1]]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _reads_any(task, others):
     return any(r.intersects(w) for o in others for w in o.writes for r in task.reads)
 
 
+def _place(update, reads):
+    """update's pieces on the sequential list (the cells reads meet) and on
+    the parallel list, each side whole when it takes every cell."""
+    rows = _split(update.rows, [r.rows[1] for r in reads])
+    cells = [(r, c) for c in _split(update.cols, [r.cols[1] for r in reads]) for r in rows]
+    sides = ([], [])
+    for cell in cells:
+        sides[not any(Span("A", *cell).intersects(r) for r in reads)].append(cell)
+    pieces = []
+    for side, tag in zip(sides, ("-head", "-rest")):
+        if side == cells:
+            side, tag = [(update.rows, update.cols)], ""
+        tags = [tag] if len(side) == 1 else [f"{tag}{i + 1}" for i in range(len(side))]
+        pieces.append([update.make(r, c, t) for (r, c), t in zip(side, tags)])
+    return pieces
+
+
 def _cut(items, nxt, label):
-    """Iteration phase of items: each cut at nxt's lines, nxt's panels
-    placed on the sequential list."""
+    """Iteration phase of items with the panels of nxt, the next iteration's
+    stream, placed ahead (see the module docstring)."""
+    panels = list(filter(_is_panel, nxt))
+    reads = [r for p in panels for r in p.reads]
     heads = []  # per item: its pieces on the sequential list
     par = []
     for it in items:
-        cells = ahead = []
-        if isinstance(it, Update):
-            rows = _split(it.rows, nxt.row_cut)
-            cells = [(r, c) for c in _split(it.cols, nxt.col_cut) for r in rows]
-            ahead = [(r, c) for r, c in cells if r[1] <= nxt.row_cut or c[1] <= nxt.col_cut]
-        if not ahead:
-            par.append(_task(it))
-        elif ahead == cells:
-            ahead = [it.whole()]
-        else:
-            tags = ["-head"] if len(ahead) == 1 else [f"-head{i + 1}" for i in range(len(ahead))]
-            ((rows, cols),) = [cell for cell in cells if cell not in ahead]
-            par.append(it.make(rows, cols, "-rest"))
-            ahead = [it.make(r, c, tag) for (r, c), tag in zip(ahead, tags)]
+        ahead, rest = _place(it, reads) if isinstance(it, Update) else ([], [it])
         heads.append(ahead)
+        par += rest
 
     heads = heads or [[]]
     after = [[] for _ in heads]
     at = 0
-    for panel in filter(_is_panel, nxt.items):
+    for panel in panels:
         hits = [i for i, pieces in enumerate(heads) if _reads_any(panel, pieces)]
         at = max(at, hits[-1] if hits else 0)
         after[at].append(panel)
-    seq = [t for pieces, panels in zip(heads, after) for t in pieces + panels]
+    seq = [t for pieces, placed in zip(heads, after) for t in pieces + placed]
     return PhasePlan(seq, par, label=label)
 
 
 def plan(stream, ks, lookahead=False, v2_mapping=None):
     """Yield the PhasePlans of a run over the leading columns ks.
 
-    stream(k) builds iteration k's Stream; it is called once per iteration,
-    at most one iteration ahead of the phase being planned. lookahead=False
-    gives the Reference (or Simultaneous) schedule of the streams;
-    lookahead=True gives V1 when v2_mapping is None and V2 with that
-    mapping otherwise. Planning runs no task.
+    stream(k) lists iteration k's Tasks and Updates in Reference order; it
+    is called once per iteration, at most one iteration ahead of the phase
+    being planned. lookahead=False gives the Reference (or Simultaneous)
+    schedule of the streams; lookahead=True gives V1 when v2_mapping is
+    None and V2 with that mapping otherwise. Planning runs no task.
     """
     if not lookahead:
         for k in ks:
-            yield PhasePlan([], [_task(it) for it in stream(k).items], label=f"iter@{k}")
+            yield PhasePlan([], [_task(it) for it in stream(k)], label=f"iter@{k}")
         return
     if not ks:
         return
     cur = stream(ks[0])
-    yield PhasePlan([], list(filter(_is_panel, cur.items)), label="prologue")
+    yield PhasePlan([], list(filter(_is_panel, cur)), label="prologue")
     for idx, k in enumerate(ks):
-        nxt = stream(ks[idx + 1]) if idx + 1 < len(ks) else Stream([])
-        items = [it for it in cur.items if not _is_panel(it)]
+        nxt = stream(ks[idx + 1]) if idx + 1 < len(ks) else []
+        items = [it for it in cur if not _is_panel(it)]
         label = f"iter@{k}"
         last = max((i for i, it in enumerate(items) if _is_product(it)), default=None)
         if v2_mapping is not None and last is not None:

@@ -19,15 +19,14 @@ over identical task bodies:
 
   Reference  every stream in order on the full pool.
   V1, V2     the sequential group factors the next panel while the
-             parallel group runs the rest of the iteration. One rule
-             places the next panel: each update is cut at the panel's
-             column end, and the part left of it runs first on the
-             sequential group. With 2b <= w (V1) the panel lies inside the
-             mid block, so the mid block is cut; with 2b > w (V2) it
-             spills into the trailing block, so the trailing update is
-             cut. V2 first runs a phase that updates the mid block (on
-             the sequential group under V2Mapping.ON_TS) while the
-             parallel group forms X1..X3.
+             parallel group runs the rest of the iteration. The planner's
+             one rule places it: the part of each update the panel reads
+             runs first on the sequential group. With 2b <= w (V1) the
+             panel lies inside the mid block, so the mid block is cut at
+             its column end; with 2b > w (V2) it spills into the trailing
+             block, so the trailing update is cut there. V2 first runs a
+             phase that updates the mid block (on the sequential group
+             under V2Mapping.ON_TS) while the parallel group forms X1..X3.
 
 Because every update kernel is bitwise split-stable (see kernels), the three
 schedules produce bitwise-identical bands when serialized; with real
@@ -43,7 +42,7 @@ import numpy as np
 
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
 from .lookahead import (
-    Stream, Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
+    Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
 )
 from .runtime import Span, Task
 
@@ -146,8 +145,8 @@ def _syr2k_task(state, k, X3, panel, c0, c1, tag):
 
 
 def _stream(state, k, bp):
-    """Iteration k's tasks in Reference order. With no LQ panel there is no
-    row cut, so the trailing update is only cut into column strips, each
+    """Iteration k's tasks in Reference order. A QR panel ends at row n,
+    so the planner cuts the trailing update only into column strips, each
     the lower part of its columns."""
     n, t, f = state.n, k + state.w, state.factors
     panel = Span("A", (t, n), (k, k + bp))
@@ -169,7 +168,7 @@ def _stream(state, k, bp):
         return _syr2k_task(state, k, X3, panel, cols[0] - t, cols[1] - t, tag)
 
     items.append(Update((t, n), (t, n), trail))
-    return Stream(items, col_cut=k + bp)
+    return items
 
 
 def _finalize(A, n, w):

@@ -30,15 +30,15 @@ over identical task bodies:
                 D += X Y_V^T + Y_U Z_L^T.
   V1, V2        the sequential group factors the next QR and LQ panels
                 while the parallel group runs the rest of the iteration.
-                One rule places them: each update is cut at the next QR
-                panel's column end and the next LQ panel's row end, and
-                the cells left of or above the cuts run first on the
-                sequential group. V1 (2b <= w) cuts the Reference stream,
-                where the next panels lie inside B1 and C1; V2 (intended
-                for 2b > w) cuts the Simultaneous stream, where they spill
-                into D, so D is cut 2x2. V2 first runs a phase that updates
-                B1 and C1 (on the sequential group under V2Mapping.ON_TS)
-                while the parallel group forms the Z/X products.
+                The planner's one rule places them: the cells of each
+                update the next panels read run first on the sequential
+                group. V1 (2b <= w) cuts the Reference stream, where the
+                next panels lie inside B1 and C1; V2 (intended for 2b > w)
+                cuts the Simultaneous stream, where they spill into D, so D
+                is cut 2x2: D21 and D12 run ahead, D11 and D22 on the
+                parallel group. V2 first runs a phase that updates B1 and
+                C1 (on the sequential group under V2Mapping.ON_TS) while
+                the parallel group forms the Z/X products.
 
 Serialized, V1 is bitwise equal to Reference and V2 to Simultaneous (the
 splits only repartition split-stable kernels); Reference and Simultaneous
@@ -56,7 +56,7 @@ import numpy as np
 
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
 from .lookahead import (
-    Stream, Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
+    Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
 )
 from .runtime import Span, Task
 
@@ -207,7 +207,7 @@ def _band_stream(state, k, bp, fused):
     if k + bp < b1end:
         items.append(update((k + s, m), (k + bp, b1end), "left-b1", apply_wy_left, fu, qr))
     if jr < 1:
-        return Stream(items, col_cut=k + bp)
+        return items
     bq = min(bp, jr)
     lq = Span("A", (k, k + bq), (k + w, n))
     if not fused:
@@ -224,7 +224,7 @@ def _band_stream(state, k, bp, fused):
             return _dsub_task(state, k, ZL, X, qr, lq, *(i - k - w for i in (*r, *c)), "-d" + tag)
 
         items += [*products, Update((k + w, m), (k + w, n), dsub)]
-    return Stream(items, row_cut=k + bq, col_cut=k + bp)
+    return items
 
 
 def reduce_band_svd(A, cfg, groups=None):

@@ -218,6 +218,51 @@ def test_load_rejects_nonsquare_for_sevp(tmp_path):
     assert proc.returncode == 2
 
 
+def _config_error(proc):
+    """A configuration error: exit 2, nothing on stdout, and one error line
+    after the usage text, with no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len([ln for ln in proc.stderr.splitlines() if "error:" in ln]) == 1, proc.stderr
+
+
+def test_bad_load_file_is_a_config_error(tmp_path):
+    short = tmp_path / "short.txt"
+    short.write_text("2 2\n1.0\n2.0\n3.0\n")
+    junk = tmp_path / "junk.txt"
+    junk.write_text("2 2\n1.0\nx\n3.0\n4.0\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("2 2\n")
+    for path in (tmp_path / "missing.txt", short, junk, empty):
+        for algo in ("sevp-ref", "svd-ref"):
+            _config_error(_run("--algo", algo, "--w", "1", "--load", str(path)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_load_with_nan_or_inf_where_the_reduction_reads_is_a_config_error(tmp_path, bad):
+    """SEVP reads only the lower triangle; the SVD reads every entry."""
+    upper, lower = gen_sym(6, 0), gen_sym(6, 0)
+    upper[1, 4] = bad
+    lower[4, 1] = bad
+    for name, a in (("upper", upper), ("lower", lower)):
+        save_matrix(tmp_path / name, a)
+    args = ("--w", "2", "--b", "1", "--load")
+    _config_error(_run("--algo", "sevp-ref", *args, str(tmp_path / "lower")))
+    _config_error(_run("--algo", "svd-ref", *args, str(tmp_path / "lower")))
+    _config_error(_run("--algo", "svd-ref", *args, str(tmp_path / "upper")))
+    ok = _run("--algo", "sevp-ref", *args, str(tmp_path / "upper"))
+    assert ok.returncode == 0, ok.stderr
+    assert len(_rows(ok)) == 1
+
+
+def test_dump_waits_for_every_config_check(tmp_path):
+    dump = tmp_path / "in.txt"
+    for bad in (("--w", "0"), ("--threads", "0"), ("--b", "40")):
+        _config_error(_run("--algo", "sevp-ref", "--n", "8", "--dump", str(dump), *bad))
+        assert not dump.exists(), bad
+
+
 def test_trace_file_contains_schedule_events(tmp_path):
     # a b-sweep: each reduction restarts the groups' trace, and the file
     # must still hold every configuration (b = 2 and b = 4)

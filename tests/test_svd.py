@@ -232,19 +232,23 @@ def test_v1_next_panel_waits_for_its_column_update():
 
 
 def test_v2_d11_block_is_b_by_b_when_b_equals_w(captured_plans):
+    """D11, the top-left cell of V2's cut D, is b x b, and since no next
+    panel reads it, it runs on the parallel list."""
     A = _rand(30, 30, 18)
     with ExecGroups(2, 1) as groups:
         reduce_band_svd(A, _cfg(30, 30, 4, 4, SvdVariant.V2), groups)
-    d11 = {
-        t.task_id.split("@")[1]: t.writes[0]
-        for plan in captured_plans
-        for t in plan.seq_tasks
-        if t.task_id.startswith("dsub-d-head1@")
-    }
+    d11 = {}
+    for plan in captured_plans:
+        for t in plan.par_tasks:
+            if t.task_id.startswith("dsub-d-rest1@"):
+                d11[t.task_id.split("@")[1]] = (t.writes[0], plan)
     for k in ("0", "4", "8", "12", "16"):  # pairs with a full next panel
-        span = d11[k]
+        span, plan = d11[k]
         assert span.rows[1] - span.rows[0] == 4
         assert span.cols[1] - span.cols[0] == 4
+        assert (span.rows[0], span.cols[0]) == (int(k) + 4, int(k) + 4)
+        panels = [t for t in plan.seq_tasks + plan.par_tasks if t.reads == t.writes]
+        assert panels and not any(r.intersects(span) for p in panels for r in p.reads)
 
 
 def test_fused_update_matches_dense_two_sided_product():
