@@ -1,16 +1,18 @@
 """Static look-ahead execution substrate.
 
-Workers are split into a sequential group and a parallel group. Each phase
-runs one ordered task list per group, concurrently, and returns only when
-both lists are done (the barrier). Every task declares the spans it reads
-and writes; a phase in which a write of one list meets a read or a write of
-the other (a RAW, WAR or WAW hazard between the groups) is rejected before
-any task runs. Within a list, overlap is legal -- tasks there run in order
-and may build on each other.
+Workers are split into a sequential group and a parallel group that share
+one thread pool. Each phase runs one ordered task list per group,
+concurrently, and returns only when both lists are done (the barrier): the
+sequential list on a pool thread, the parallel list on the calling thread.
+Every task declares the spans it reads and writes; a phase in which a write
+of one list meets a read or a write of the other (a RAW, WAR or WAW hazard
+between the groups) is rejected before any task runs. Within a list,
+overlap is legal -- tasks there run in order and may build on each other.
 
-Every submission to a pool runs in a copy of the submitter's context, so
+Every submission to the pool runs in a copy of the submitter's context, so
 context variables such as the open flop scopes (bandred.flops) reach the
-pool threads that run a reduction's tasks.
+pool threads that run a reduction's tasks; the lists that run on the
+calling thread run in its own context.
 
 Logical time is a monotonic counter, not wall clock, so trace assertions
 (task A finished before task B started) are reproducible.
@@ -122,12 +124,11 @@ def _submit(pool, fn, *args):
 
 
 class Workers:
-    """Data-parallel map over one group's pool.
+    """Data-parallel map over count workers of a pool.
 
-    The calling thread (a group runner, which already occupies one pool slot)
-    executes the first chunk inline and submits the remaining count-1 chunks,
-    so a group of size c uses exactly c slots and can never deadlock on its
-    own pool.
+    The calling thread (the one that runs the group's list) executes the
+    first chunk inline and submits the remaining count-1 chunks, so a group
+    of size c runs on its own thread plus c-1 pool threads.
     """
 
     def __init__(self, pool, count):
@@ -157,10 +158,18 @@ class Workers:
 
 
 class ExecGroups:
-    """Worker pools split into a sequential group (ts_count) and a parallel
-    group (total_workers - ts_count), plus a full-width pool used when a
-    phase has no sequential work or a group has no workers. The two group
-    pools exist only when both groups have workers.
+    """total_workers workers split into a sequential group (ts_count) and a
+    parallel group (tp_count = total_workers - ts_count), on one thread pool
+    of total_workers threads.
+
+    A phase runs its two lists at once only when it has sequential tasks and
+    both groups have workers: the sequential list goes to the pool, the
+    parallel list runs on the thread that called run_phase. Otherwise that
+    thread runs both lists in order at full width. Either way a phase needs
+    at most total_workers - 1 pool threads (the sequential runner plus
+    ts_count - 1 and tp_count - 1 map chunks), because Workers.map is never
+    nested: kernels call their inner matmuls without a Workers handle. So a
+    one-worker groups object never starts a thread.
 
     Owns the EventTrace of the phases run on it. Each reduction starts it
     afresh, so it holds the records of the latest reduction only.
@@ -177,16 +186,12 @@ class ExecGroups:
         self.ts_count = ts_count
         self.tp_count = total_workers - ts_count
         self.trace = EventTrace()
-        self._all = ThreadPoolExecutor(max_workers=total_workers)
-        self._seq = self._par = None
-        if ts_count >= 1 and self.tp_count >= 1:
-            self._seq = ThreadPoolExecutor(max_workers=ts_count)
-            self._par = ThreadPoolExecutor(max_workers=self.tp_count)
+        self._closed = False
+        self._pool = ThreadPoolExecutor(max_workers=total_workers)
 
     def close(self):
-        for pool in (self._seq, self._par, self._all):
-            if pool is not None:
-                pool.shutdown(wait=True)
+        self._closed = True
+        self._pool.shutdown(wait=True)
 
     def __enter__(self):
         return self
@@ -225,32 +230,23 @@ def run_phase(plan, groups):
     par list runs in order on the parallel group; return after both finish.
 
     Rejects the whole phase (nothing runs) if a write span of either list
-    intersects a read or write span of the other. Returns the groups'
-    EventTrace.
+    intersects a read or write span of the other, or if groups is closed.
+    Returns the groups' EventTrace.
     """
     _check_hazards(plan)
-    trace = groups.trace
+    if groups._closed:
+        raise RuntimeError("run_phase on a closed ExecGroups")
+    trace, pool = groups.trace, groups._pool
 
-    if groups._par is None or not plan.seq_tasks:
-        # Single-pool execution at full width: seq list (if any), then par.
-        w = Workers(groups._all, groups.total_workers)
-
-        def run_all():
-            _run_list(plan.seq_tasks, w, "seq", trace)
-            _run_list(plan.par_tasks, w, "par", trace)
-
-        _submit(groups._all, run_all).result()
-    else:
-        ws = Workers(groups._seq, groups.ts_count)
-        wp = Workers(groups._par, groups.tp_count)
-        fs = _submit(groups._seq, _run_list, plan.seq_tasks, ws, "seq", trace)
-        fp = _submit(groups._par, _run_list, plan.par_tasks, wp, "par", trace)
-        err = None
-        for fut in (fs, fp):
-            try:
-                fut.result()
-            except BaseException as e:  # join both groups before raising
-                err = err or e
-        if err is not None:
-            raise err
+    if not plan.seq_tasks or groups.ts_count < 1 or groups.tp_count < 1:
+        # One group at full width: seq list (if any), then par.
+        w = Workers(pool, groups.total_workers)
+        _run_list(plan.seq_tasks, w, "seq", trace)
+        _run_list(plan.par_tasks, w, "par", trace)
+        return trace
+    fs = _submit(pool, _run_list, plan.seq_tasks, Workers(pool, groups.ts_count), "seq", trace)
+    try:
+        _run_list(plan.par_tasks, Workers(pool, groups.tp_count), "par", trace)
+    finally:
+        fs.result()  # join the sequential group before returning or raising
     return trace

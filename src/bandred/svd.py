@@ -48,7 +48,6 @@ m < n inputs are reduced through their transpose and transposed back, with
 the bandwidth tags swapped accordingly.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -235,7 +234,7 @@ def reduce_band_svd(A, cfg, groups=None):
     (see module docstring). A NaN or Inf anywhere in A raises ValueError.
     """
     cfg.validate()
-    A = np.array(A, dtype=np.float64, order="F")
+    A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("reduce_band_svd needs a 2-D matrix")
     if A.shape != (cfg.m, cfg.n):
@@ -244,19 +243,10 @@ def reduce_band_svd(A, cfg, groups=None):
         )
     if not np.isfinite(A).all():
         raise ValueError("reduce_band_svd: the matrix holds NaN or Inf")
-    if cfg.m < cfg.n:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # already warned once
-            tcfg = replace(cfg, m=cfg.n, n=cfg.m)
-            inner = reduce_band_svd(np.asfortranarray(A.T), tcfg, groups)
-        return SvdResult(
-            band=np.asfortranarray(inner.band.T),
-            flops=inner.flops,
-            form=cfg.form,
-            lower_bw=inner.upper_bw,
-            upper_bw=inner.lower_bw,
-            iterations=inner.iterations,
-        )
+    wide = cfg.m < cfg.n
+    if wide:
+        A, cfg = A.T, replace(cfg, m=cfg.n, n=cfg.m)
+    A = np.array(A, order="F")  # the private copy reduced in place
 
     tri = cfg.form is SvdForm.TRIANGULAR_BAND
     state = _BandState(A, cfg)
@@ -272,9 +262,13 @@ def reduce_band_svd(A, cfg, groups=None):
     jj = np.arange(cfg.n)[None, :]
     if tri:
         A[(i > jj) | (jj > i + cfg.w)] = 0.0
-        return SvdResult(A, flops, SvdForm.TRIANGULAR_BAND, 0, cfg.w, len(widths))
-    A[np.abs(i - jj) > cfg.w] = 0.0
-    return SvdResult(A, flops, SvdForm.BAND, cfg.w, cfg.w, len(widths))
+        bws = (0, cfg.w)
+    else:
+        A[np.abs(i - jj) > cfg.w] = 0.0
+        bws = (cfg.w, cfg.w)
+    if wide:
+        return SvdResult(np.asfortranarray(A.T), flops, cfg.form, *bws[::-1], len(widths))
+    return SvdResult(A, flops, cfg.form, *bws, len(widths))
 
 
 def reduce_tri_band(A, w, b, groups=None):

@@ -145,7 +145,7 @@ def pool_workers():
     """Workers handles by count on one pool: 0 is no handle at all. Counts 0
     and 1 sum a whole output in one sweep, 2 shares its tiles."""
     with ExecGroups(2, 0) as groups:
-        yield {0: None, 1: Workers(groups._all, 1), 2: Workers(groups._all, 2)}
+        yield {0: None, 1: Workers(groups._pool, 1), 2: Workers(groups._pool, 2)}
 
 
 WORKER_COUNTS = st.sampled_from([0, 1, 2])
@@ -407,7 +407,7 @@ def test_matmul_worker_count_invariance():
     matmul(1.0, A, B, 0.0, serial)
     with ExecGroups(3, 0) as groups:
         threaded = np.zeros((300, 6), order="F")
-        matmul(1.0, A, B, 0.0, threaded, Workers(groups._all, 3))
+        matmul(1.0, A, B, 0.0, threaded, Workers(groups._pool, 3))
     assert np.array_equal(threaded, serial)
 
 

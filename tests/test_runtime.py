@@ -6,6 +6,8 @@ import threading
 import numpy as np
 import pytest
 
+import bandred.lookahead
+import bandred.runtime
 from bandred import (
     FLOPS,
     EventTrace,
@@ -278,6 +280,75 @@ def test_workers_reach_task_bodies():
     assert np.array_equal(outs[0], outs[2])
 
 
+@pytest.mark.parametrize("total, ts", [(1, 0), (2, 1)])
+def test_a_closed_groups_object_runs_no_phase(total, ts):
+    ran = []
+    groups = ExecGroups(total, ts)
+    groups.close()
+    for plan in (
+        PhasePlan([_span_task("s", ran)], [_span_task("p", ran)]),
+        PhasePlan([], [_span_task("p", ran)]),
+    ):
+        with pytest.raises(RuntimeError):
+            run_phase(plan, groups)
+    with pytest.raises(RuntimeError):
+        reduce_sym_band(gen_sym(32, 0), SevpConfig(32, 8, 4), groups)
+    assert ran == [] and groups.trace.records == []
+
+
+def _thread_task(tid, seen):
+    def fn(workers):
+        seen.append((tid[0], threading.get_ident()))
+
+    return Task(tid, fn, [Span(tid, (0, 1), (0, 1))])
+
+
+def test_the_caller_runs_the_parallel_list_and_one_pool_thread_the_sequential():
+    seen = []
+    seq = [_thread_task(f"s{i}", seen) for i in range(3)]
+    par = [_thread_task(f"p{i}", seen) for i in range(3)]
+    me = threading.get_ident()
+    with ExecGroups(2, 1) as groups:
+        run_phase(PhasePlan(seq, par), groups)
+        seq_threads = {t for g, t in seen if g == "s"}
+        assert {t for g, t in seen if g == "p"} == {me}
+        assert len(seq_threads) == 1 and me not in seq_threads
+        seen.clear()
+        # one group at full width: both lists on the caller
+        run_phase(PhasePlan([], par), groups)
+    with ExecGroups(2, 0) as groups:
+        run_phase(PhasePlan(seq, par), groups)
+    assert {t for _, t in seen} == {me}
+
+
+def test_a_reduction_without_groups_never_leaves_the_calling_thread(monkeypatch):
+    """groups=None runs on one worker: every task on the calling thread, and
+    no thread is started."""
+    me, before = threading.get_ident(), threading.active_count()
+    seen = []
+    real = bandred.runtime.run_phase
+
+    def watch(task):
+        def fn(workers):
+            seen.append((threading.get_ident(), threading.active_count()))
+            task.fn(workers)
+
+        return Task(task.task_id, fn, task.writes, task.reads)
+
+    def watched(plan, groups):
+        return real(PhasePlan([watch(t) for t in plan.seq_tasks],
+                              [watch(t) for t in plan.par_tasks], plan.label), groups)
+
+    monkeypatch.setattr(bandred.lookahead, "run_phase", watched)
+    reduce_sym_band(gen_sym(48, 5), SevpConfig(48, 8, 4))
+    reduce_band_svd(gen_general(40, 24, 6), SvdConfig(40, 24, 8, 4))
+    reduce_tri_band(gen_general(24, 40, 7), 8, 4)
+    assert len(seen) > 20
+    assert {t for t, _ in seen} == {me}
+    assert max(n for _, n in seen) <= before
+    assert threading.active_count() <= before
+
+
 def test_exec_groups_validation():
     with pytest.raises(ValueError):
         ExecGroups(0, 0)
@@ -311,8 +382,8 @@ def _svd_wide_tri():
 
 def test_concurrent_reductions_each_count_their_own_flops():
     """Reductions on concurrent threads, one of them on a two-group pool
-    whose tasks and Workers.map chunks run on pool threads, each report
-    the flops they report alone; FLOPS still counts them all."""
+    whose sequential tasks and Workers.map chunks run on pool threads, each
+    report the flops they report alone; FLOPS still counts them all."""
     runs = [_sevp_ref, _sevp_ref, _sevp_v1, _svd_band, _svd_wide_tri]
     solo = {fn: fn() for fn in set(runs)}
     assert all(f["total"] > 0 for f in solo.values())

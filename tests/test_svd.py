@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from bandred import kernels
 from bandred import (
     ExecGroups,
     SvdConfig,
@@ -389,3 +392,15 @@ def test_extreme_scales_keep_singular_values(scale):
         assert np.isfinite(band).all()
         got = np.linalg.svd(band / scale, compute_uv=False)
         assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+
+
+def test_a_wide_input_still_warns_that_the_compiled_sum_is_missing(monkeypatch):
+    """The once-per-process warning comes from the first reduction that sums,
+    whichever way round its input is."""
+    monkeypatch.setattr(kernels, "_find_cc", lambda: None)
+    monkeypatch.setattr(kernels, "_COMPILED_SUM", kernels._CompiledSum())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reduce_tri_band(gen_general(24, 40, 3), 8, 4)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "compiled sum unavailable" in str(caught[0].message)
