@@ -20,7 +20,7 @@ for _var in (
     _os.environ.setdefault(_var, "1")
 del _os, _var
 
-from .flops import FLOPS, FlopCounter, reset_flops, snapshot_flops
+from .flops import FLOPS, FlopCounter
 from .kernels import (
     PanelFactors,
     apply_wy_left,
@@ -68,21 +68,12 @@ from .depgraph import (
     enumerate_tasks,
     to_dot,
 )
-from .oracles import (
-    SpectrumReport,
-    band_check,
-    jacobi_eigen,
-    jacobi_svd,
-    orth_residual,
-    spectra_match,
-)
+from .oracles import band_check, orth_residual, spectra_match
 from .cli import gen_general, gen_sym, load_matrix, save_matrix
 
 __all__ = [
     "FLOPS",
     "FlopCounter",
-    "reset_flops",
-    "snapshot_flops",
     "PanelFactors",
     "house_gen",
     "qr_panel",
@@ -120,9 +111,6 @@ __all__ = [
     "build_dag",
     "analyze_overlap",
     "to_dot",
-    "SpectrumReport",
-    "jacobi_eigen",
-    "jacobi_svd",
     "band_check",
     "orth_residual",
     "spectra_match",

@@ -83,11 +83,3 @@ def flop_scope():
         yield counter
     finally:
         _SCOPE.reset(token)
-
-
-def snapshot_flops():
-    return FLOPS.snapshot()
-
-
-def reset_flops():
-    FLOPS.reset()

@@ -10,7 +10,7 @@ import bandred
 from bandred import lookahead
 
 EXPORTS = [
-    "FLOPS", "FlopCounter", "reset_flops", "snapshot_flops",
+    "FLOPS", "FlopCounter",
     "PanelFactors", "house_gen", "qr_panel", "lq_panel", "build_w",
     "apply_wy_left", "apply_wy_right", "matmul",
     "ExecGroups", "PhasePlan", "Task", "Span", "Workers", "EventTrace",
@@ -21,8 +21,7 @@ EXPORTS = [
     "reduce_band_svd", "svd_nominal_flops",
     "TaskKind", "TaskNode", "TaskDag", "OverlapReport", "enumerate_tasks",
     "build_dag", "analyze_overlap", "to_dot",
-    "SpectrumReport", "jacobi_eigen", "jacobi_svd", "band_check",
-    "orth_residual", "spectra_match",
+    "band_check", "orth_residual", "spectra_match",
     "gen_sym", "gen_general", "save_matrix", "load_matrix",
 ]
 

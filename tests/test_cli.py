@@ -125,7 +125,7 @@ def test_verify_passes_and_reports_deviation():
     assert 0.0 <= float(dev) <= 1e-11 * 30  # eigenvalues of gen_sym(30) are O(n)
 
 
-def test_verify_runs_beyond_the_jacobi_oracle_scale():
+def test_verify_runs_at_sizes_above_256():
     # LAPACK checks every size: n = 300 SEVP, min(m, n) = 160 SVD
     for args in (("--algo", "sevp-ref", "--n", "300"),
                  ("--algo", "svd-sim", "--m", "200", "--n", "160")):

@@ -21,14 +21,11 @@ from bandred import (
     apply_wy_right,
     build_w,
     house_gen,
-    jacobi_eigen,
     lq_panel,
     matmul,
     orth_residual,
     qr_panel,
     Span,
-    reset_flops,
-    snapshot_flops,
 )
 from bandred import kernels, sevp
 from bandred.kernels import (
@@ -190,9 +187,9 @@ def _matmul_case(draw):
 
 
 def _counted(fn, *args, **kw):
-    reset_flops()
+    FLOPS.reset()
     fn(*args, **kw)
-    return snapshot_flops()
+    return FLOPS.snapshot()
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,10 +355,10 @@ def test_matmul_scaled_accumulate_matches_triple_loop_bitwise():
 def test_matmul_alpha_zero_beta_one_is_identity():
     C0 = _rand(5, 5, 7)
     C = C0.copy()
-    reset_flops()
+    FLOPS.reset()
     matmul(0.0, _rand(5, 9, 8), _rand(9, 5, 9), 1.0, C)
     assert np.array_equal(C, C0)
-    assert snapshot_flops()["total"] == 0  # early-out does no counted work
+    assert FLOPS.snapshot()["total"] == 0  # early-out does no counted work
 
 
 def test_matmul_identity_left_factor():
@@ -372,12 +369,12 @@ def test_matmul_identity_left_factor():
 
 
 def test_matmul_flop_count_exact():
-    reset_flops()
+    FLOPS.reset()
     matmul(1.0, _rand(4, 4, 11), _rand(4, 4, 12), 0.0, np.zeros((4, 4), order="F"))
-    assert snapshot_flops()["matmul"] == 128
-    reset_flops()
+    assert FLOPS.snapshot()["matmul"] == 128
+    FLOPS.reset()
     matmul(2.0, _rand(9, 5, 13), _rand(5, 7, 14), 1.0, _rand(9, 7, 15))
-    assert snapshot_flops()["matmul"] == 2 * 9 * 5 * 7
+    assert FLOPS.snapshot()["matmul"] == 2 * 9 * 5 * 7
 
 
 def test_matmul_output_split_invariance():
@@ -708,7 +705,7 @@ def test_sym_two_sided_identity_stays_identity():
     assert np.max(np.abs(np.tril(A) - np.tril(np.eye(9)))) <= 1e-13
 
 
-def test_sym_two_sided_matches_dense_similarity():
+def test_sym_two_sided_matches_dense_similarity(spectrum_deviation):
     f = qr_panel(_rand(12, 3, 51))
     A0 = _sym_lower(12, 52)
     dense0 = _densify(A0)
@@ -718,9 +715,7 @@ def test_sym_two_sided_matches_dense_similarity():
     want = Q.T @ dense0 @ Q
     scale = np.linalg.norm(dense0)
     assert np.max(np.abs(np.tril(_densify(A)) - np.tril(want))) <= 1e-12 * scale
-    ev_in = jacobi_eigen(dense0)
-    ev_out = jacobi_eigen(_densify(A))
-    assert np.max(np.abs(ev_in - ev_out)) <= 1e-12 * np.max(np.abs(ev_in))
+    assert spectrum_deviation(dense0, _densify(A), "eig") <= 1e-12
 
 
 # --- the compiled sum ------------------------------------------------------
@@ -926,10 +921,10 @@ def test_compiled_panels_match_numpy_panels_bitwise(case, compiled_sum, numpy_su
         for sum_ in (compiled_sum, numpy_sum):
             mp.setattr(kernels, "_COMPILED_SUM", sum_)
             host, P = _panel_in_host(values, case["layout"])
-            reset_flops()
+            FLOPS.reset()
             with np.errstate(all="ignore"):
                 f = panel(P)
-            runs.append((host, f, snapshot_flops()))
+            runs.append((host, f, FLOPS.snapshot()))
     (host1, f1, flops1), (host2, f2, flops2) = runs
     assert np.array_equal(_bits(host1), _bits(host2))
     for name in ("y", "t", "w", "r_or_l", "tau"):
@@ -971,12 +966,12 @@ def _compiled_kernel_outputs(workers=None):
     W, X3, Y = (_laid_out(_values(rng, (j, b)), "F") for _ in range(3))
     out = np.zeros((j, b), order="F")
     PQ, PL = _laid_out(_values(rng, (j, 20)), "F"), _laid_out(_values(rng, (20, j)), "F")
-    reset_flops()
+    FLOPS.reset()
     syr2k_lower(S, X3, Y, 0, j, workers)
     symm_lower(S, W, out, workers)
     factors = qr_panel(PQ), lq_panel(PL)
     arrays = [out, S, PQ, PL] + [getattr(f, a) for f in factors for a in ("y", "t", "w", "r_or_l", "tau")]
-    return arrays, snapshot_flops()
+    return arrays, FLOPS.snapshot()
 
 
 def test_without_a_compiler_the_numpy_sum_warns_once_with_the_same_bits(

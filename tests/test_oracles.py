@@ -1,83 +1,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from bandred import band_check, jacobi_eigen, jacobi_svd, orth_residual, spectra_match
-
-
-def _sym(n, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n))
-    return (g + g.T) / 2.0
-
-
-def test_eigen_diagonal_input_is_sorted_exactly():
-    vals = jacobi_eigen(np.diag([3.0, 1.0, 2.0]))
-    assert np.array_equal(vals, [3.0, 2.0, 1.0])
-
-
-def test_eigen_2x2_known_values():
-    vals = jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.max(np.abs(vals - np.array([3.0, 1.0]))) <= 1e-13
-
-
-def test_eigen_sum_matches_trace():
-    S = _sym(16, 7)
-    vals = jacobi_eigen(S)
-    assert abs(vals.sum() - np.trace(S)) <= 1e-12 * np.linalg.norm(S)
-
-
-def test_eigen_rejects_nonsymmetric():
-    a = np.arange(9.0).reshape(3, 3)
-    with pytest.raises(ValueError):
-        jacobi_eigen(a)
-
-
-def test_eigen_rejects_oversize():
-    with pytest.raises(ValueError):
-        jacobi_eigen(np.eye(257))
-
-
-def test_eigen_reports_nonconvergence():
-    with pytest.raises(RuntimeError):
-        jacobi_eigen(_sym(16, 3), max_sweeps=1)
-
-
-def test_svd_diagonal_input_exact():
-    vals = jacobi_svd(np.diag([5.0, 2.0]))
-    assert np.array_equal(vals, [5.0, 2.0])
-
-
-def test_svd_permutation_matrix():
-    vals = jacobi_svd(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(vals, [1.0, 1.0])
-
-
-def test_svd_squares_match_gram_eigenvalues():
-    # independent route: sigma(A)^2 against eigenvalues of A^T A
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((12, 8))
-    sv = jacobi_svd(A)
-    ev = jacobi_eigen(A.T @ A)
-    assert np.max(np.abs(sv**2 - ev)) <= 1e-10 * ev[0]
-
-
-def test_svd_wide_input_transposed_internally():
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((5, 9))
-    assert np.allclose(jacobi_svd(A), jacobi_svd(A.T), rtol=0, atol=1e-12)
-
-
-def test_svd_rejects_oversize():
-    with pytest.raises(ValueError):
-        jacobi_svd(np.ones((200, 129)))
-
-
-def test_svd_reports_nonconvergence():
-    rng = np.random.default_rng(5)
-    with pytest.raises(RuntimeError):
-        jacobi_svd(rng.standard_normal((16, 16)), max_sweeps=1)
+from bandred import band_check, orth_residual, spectra_match
 
 
 def test_band_check_identity_is_zero():

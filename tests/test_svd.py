@@ -14,12 +14,10 @@ from bandred import (
     V2Mapping,
     band_check,
     gen_general,
-    jacobi_svd,
     lq_panel,
     qr_panel,
     reduce_band_svd,
     reduce_tri_band,
-    spectra_match,
     svd_nominal_flops,
 )
 
@@ -31,13 +29,6 @@ def _rand(m, n, seed):
 
 def _cfg(m, n, w, b, variant=SvdVariant.REFERENCE, form=SvdForm.BAND, **kw):
     return SvdConfig(m=m, n=n, w=w, b=b, form=form, variant=variant, **kw)
-
-
-def _sv_preserved(A, band, tol_scale=1e-11):
-    sv_in = jacobi_svd(A)
-    sv_out = jacobi_svd(band)
-    ok, dev = spectra_match(sv_in, sv_out, tol_scale * sv_in[0])
-    assert ok, f"singular value deviation {dev}"
 
 
 # --- triangular-band form --------------------------------------------------
@@ -53,28 +44,28 @@ def test_tri_already_banded_input_only_flips_signs():
     assert np.array_equal(np.abs(res.band), np.abs(A))
 
 
-def test_tri_small_w_equals_b_oracle():
+def test_tri_small_w_equals_b_oracle(spectrum_deviation):
     A = _rand(10, 6, 1)
     res = reduce_tri_band(A, w=2, b=2)
     assert band_check(res.band, 0, 2) == 0.0
     assert (res.lower_bw, res.upper_bw) == (0, 2)
-    _sv_preserved(A, res.band)
+    assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_tri_wide_band_with_smaller_blocks():
+def test_tri_wide_band_with_smaller_blocks(spectrum_deviation):
     A = _rand(18, 14, 2)
     res = reduce_tri_band(A, w=4, b=2)
     assert band_check(res.band, 0, 4) == 0.0
-    _sv_preserved(A, res.band)
+    assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_tri_wide_matrix_reduces_transpose():
+def test_tri_wide_matrix_reduces_transpose(spectrum_deviation):
     A = _rand(6, 10, 3)
     res = reduce_tri_band(A, w=2, b=1)
     assert res.band.shape == (6, 10)
     assert (res.lower_bw, res.upper_bw) == (2, 0)
     assert band_check(res.band, 2, 0) == 0.0
-    _sv_preserved(A, res.band)
+    assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
 def test_tri_rejects_bad_blocking():
@@ -103,36 +94,36 @@ def test_band_small_matrix_returned_unchanged():
     assert res.flops == {"matmul": 0, "house": 0, "syr2k": 0, "total": 0}
 
 
-def test_band_oracle_square():
+def test_band_oracle_square(spectrum_deviation):
     A = _rand(30, 30, 5)
     res = reduce_band_svd(A, _cfg(30, 30, 6, 3))
     assert band_check(res.band, 6, 6) == 0.0
-    _sv_preserved(A, res.band)
+    assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_band_oracle_rectangular():
+def test_band_oracle_rectangular(spectrum_deviation):
     A = _rand(24, 20, 6)
     res = reduce_band_svd(A, _cfg(24, 20, 4, 4))
     assert band_check(res.band, 4, 4) == 0.0
-    _sv_preserved(A, res.band)
+    assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_band_wide_matrix_reduces_transpose():
+def test_band_wide_matrix_reduces_transpose(spectrum_deviation):
     A = _rand(20, 26, 7)
     res = reduce_band_svd(A, _cfg(20, 26, 4, 2))
     assert res.band.shape == (20, 26)
     assert band_check(res.band, 4, 4) == 0.0
-    _sv_preserved(A, res.band)
+    assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_simultaneous_matches_reference_within_tolerance():
+def test_simultaneous_matches_reference_within_tolerance(spectrum_deviation):
     """Same reduction, different trailing-update algebra: the fused form and
     the two-sweep form agree to rounding, never bitwise."""
     A = _rand(24, 20, 8)
     ref = reduce_band_svd(A, _cfg(24, 20, 4, 4))
     sim = reduce_band_svd(A, _cfg(24, 20, 4, 4, SvdVariant.SIMULTANEOUS))
     assert np.max(np.abs(sim.band - ref.band)) <= 1e-12 * np.linalg.norm(A)
-    _sv_preserved(A, sim.band)
+    assert spectrum_deviation(A, sim.band, "sv") <= 1e-11
 
 
 def test_v1_serialized_is_bitwise_reference():
@@ -177,21 +168,21 @@ def test_v2_mapping_choice_does_not_change_bits():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_v2_oracle_rectangular():
+def test_v2_oracle_rectangular(spectrum_deviation):
     A = _rand(40, 36, 14)
     with ExecGroups(2, 1) as groups:
         res = reduce_band_svd(A, _cfg(40, 36, 4, 3, SvdVariant.V2), groups)
     assert band_check(res.band, 4, 4) == 0.0
-    _sv_preserved(A, res.band)
+    assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_rectangular_shape_insensitivity():
+def test_rectangular_shape_insensitivity(spectrum_deviation):
     """The invariants hold across aspect ratios with everything else fixed."""
     for n in (12, 24, 36):
         A = _rand(36, n, 100 + n)
         res = reduce_band_svd(A, _cfg(36, n, 4, 2))
         assert band_check(res.band, 4, 4) == 0.0
-        _sv_preserved(A, res.band)
+        assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
 def test_band_reduction_is_reproducible():
