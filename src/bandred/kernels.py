@@ -24,17 +24,17 @@ costs one np.add per output rather than one per tile; with two or more, the
 output is cut into ROW_TILE/COL_TILE tiles for the pool to share. SCRATCH
 bounds the cache footprint either way, and the bits depend on neither.
 
-The panels and the SEVP trailing update sum through compiled C
-(_SUM_SOURCE) with _accumulate's bits: every entry's chain runs in inner
+The panels, build_w, symm_lower and syr2k_lower sum through compiled C
+(_SUM_SOURCE) with the NumPy step's bits: every entry's chain runs in inner
 order, one rounded product and one rounded add per index, and no loop
 vectorizes across an inner index. Every product is still a matmul call,
 which checks the shapes and charges the flops, so the "matmul" flop class
-stays 2mkn per matmul call. Three entry points:
-- bandred_accumulate, _accumulate's twin, sums syr2k_lower's strips and the
-  panels' inner-block updates;
-- bandred_product runs matmul's whole step (beta, alpha, sum) for the
-  small products of a panel column and of build_w, at operand addresses
-  the caller works out from its arrays' bases (_At);
+stays 2mkn per matmul call. Two entry points:
+- bandred_product runs matmul's whole step (beta, alpha, sum) over any
+  strides. _COMPILED_SUM hands it the row tiles of syr2k_lower's strips
+  and of the panels' inner-block updates, reading the addresses off the
+  views; _At hands it the small products of a panel column and of
+  build_w, at addresses the caller works out from its arrays' bases;
 - bandred_symm_lower sums symm_lower straight from A2's lower triangle
   (_SymmLower).
 The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
@@ -44,7 +44,7 @@ The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
 call. Without a compiler, or if the build fails or the cache directory is
 not private to the user, it warns once and every kernel takes its NumPy
 path; so do operands that are not aligned float64. apply_wy_left,
-apply_wy_right and matmul's default sum stay on _accumulate.
+apply_wy_right and matmul's default step stay on _numpy_step.
 
 The vector norm (np.linalg.norm) appears only inside house_gen, where every
 schedule makes the identical call on identical data.
@@ -150,31 +150,14 @@ def _accumulate(A, B, C):
 
 
 _SUM_SOURCE = r"""
-/* C += A*B for A and C with unit row stride (column strides lda, ldc) and
-   any B. Entry (i, j) gets one rounded product and one rounded add per p,
-   p ascending. The i loop is innermost: a compiler may vectorize across
-   the entries of a column of C, never across p. */
-void bandred_accumulate(long m, long n, long k, const double *a, long lda,
-                        const double *b, long bp, long bj, double *c, long ldc)
-{
-    for (long j = 0; j < n; j++) {
-        double *cj = c + j * ldc;
-        for (long p = 0; p < k; p++) {
-            const double *ap = a + p * lda;
-            const double bv = b[p * bp + j * bj];
-            for (long i = 0; i < m; i++)
-                cj[i] += ap[i] * bv;
-        }
-    }
-}
-
 /* matmul's whole step at addresses the caller knows, strides in entries:
    C := alpha*A*B + beta*C. Each column of C is scaled by beta (zeroed when
    beta == 0, kept when beta == 1); unless alpha == 0, each entry then adds
    one rounded product per p ascending, A's entry first multiplied by alpha
    unless alpha == 1. These are matmul's roundings in matmul's order. A
    one-row C keeps each chain in a register; otherwise the i loop is
-   innermost, across entries. */
+   innermost, across entries: for unit-stride A and C a compiler may
+   vectorize it, never across p. */
 void bandred_product(long m, long n, long k, double alpha, double beta,
                      const double *a, long ar, long ac, const double *b,
                      long br, long bc, double *c, long cr, long cc)
@@ -195,8 +178,12 @@ void bandred_product(long m, long n, long k, double alpha, double beta,
         for (long p = 0; p < k; p++) {
             const double *ap = a + p * ac;
             const double bv = b[p * br + j * bc];
-            for (long i = 0; i < m; i++)
-                cj[i * cr] += (alpha == 1.0 ? ap[i * ar] : ap[i * ar] * alpha) * bv;
+            if (ar == 1 && cr == 1)
+                for (long i = 0; i < m; i++)
+                    cj[i] += (alpha == 1.0 ? ap[i] : ap[i] * alpha) * bv;
+            else
+                for (long i = 0; i < m; i++)
+                    cj[i * cr] += (alpha == 1.0 ? ap[i * ar] : ap[i * ar] * alpha) * bv;
         }
     }
 }
@@ -275,7 +262,6 @@ def _build_sum(cc, flags, directory):
 # Argument types of each entry point of _SUM_SOURCE: l long, d double,
 # p pointer.
 _ENTRY_POINTS = {
-    "accumulate": "lllplpllpl",
     "product": "lllddpllpllpll",
     "symm_lower": "llllpllpllplp",
 }
@@ -295,41 +281,31 @@ def _load_lib(lib):
     return SimpleNamespace(**fns)
 
 
-def _call_sum(fn, A, B, C):
-    """C += A*B through the compiled fn for float64 operands, with
-    _accumulate's bits (strides go in entries). A C laid out by rows is
-    summed as C^T += B^T A^T, the same products in the same order; an A or
-    C without unit row stride goes through a column-major copy."""
-    if C.strides[0] > C.strides[1]:
+def _product(fn, alpha, A, B, beta, C):
+    """C := alpha*A*B + beta*C by one call of the compiled product fn at the
+    operands' addresses (strides go in entries). A C laid out by rows is
+    summed as C^T = B^T A^T when alpha is 1, so the loop runs down C's unit
+    stride: the same products in the same order."""
+    if alpha == 1.0 and C.strides[0] > C.strides[1]:
         A, B, C = B.T, A.T, C.T
     m, k = A.shape
-    n = C.shape[1]
-    if A.strides[0] != 8:
-        A = np.asfortranarray(A)
-    out = C if C.strides[0] == 8 else np.asfortranarray(C)
-    fn(m, n, k, A.ctypes.data, A.strides[1] // 8, B.ctypes.data, B.strides[0] // 8,
-       B.strides[1] // 8, out.ctypes.data, out.strides[1] // 8)
-    if out is not C:
-        C[...] = out
+    (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
+    fn(m, C.shape[1], k, alpha, beta, A.ctypes.data, ar >> 3, ac >> 3, B.ctypes.data, br >> 3,
+       bc >> 3, C.ctypes.data, cr >> 3, cc >> 3)
 
 
 class _CompiledSum:
-    """The compiled _SUM_SOURCE, built and loaded on first use. Called, it
-    sums like _accumulate(A, B, C); lib_for hands its other entry points to
-    build_w, symm_lower and the panels. If the build fails it warns once and
-    every caller takes its NumPy path; so do operands that are not aligned
-    float64 and outputs that are not writeable."""
+    """The compiled _SUM_SOURCE, built and loaded on first use. Called, it is
+    a matmul step that hands row tiles to bandred_product; lib_for hands the
+    entry points to build_w, symm_lower and the panels. If the build fails
+    it warns once and every caller takes its NumPy path; so do operands that
+    are not aligned float64 and outputs that are not writeable."""
 
     def __init__(self, cache_dir=None):
         self._cache_dir = cache_dir
         self._lock = threading.Lock()
         self._ready = False
         self._lib = None
-
-    @property
-    def fn(self):
-        """The compiled accumulate, or None while no library is loaded."""
-        return None if self._lib is None else self._lib.accumulate
 
     def _load(self):
         with self._lock:
@@ -341,8 +317,8 @@ class _CompiledSum:
                     cache = _private_dir(self._cache_dir or _default_cache_dir())
                     self._lib = _load_lib(_build_sum(cc, _SUM_FLAGS, cache))
                 except (OSError, subprocess.SubprocessError) as e:
-                    warnings.warn(f"bandred: compiled sum unavailable ({e}); the panels and "
-                                  "the SEVP trailing update use the NumPy sum: same bits, slower",
+                    warnings.warn(f"bandred: compiled sum unavailable ({e}); the panels, build_w, "
+                                  "symm_lower and syr2k_lower use the NumPy sum: same bits, slower",
                                   RuntimeWarning, stacklevel=4)
                 self._ready = True
 
@@ -358,12 +334,13 @@ class _CompiledSum:
             return None
         return self._lib
 
-    def __call__(self, A, B, C):
+    def __call__(self, alpha, A, B, beta, C, workers):
         lib = self.lib_for(A, B, out=(C,))
         if lib is None:
-            _accumulate(A, B, C)
+            _numpy_step(alpha, A, B, beta, C, workers)
         else:
-            _call_sum(lib.accumulate, A, B, C)
+            _split(workers, C.shape[0], ROW_TILE,
+                   lambda r0, r1: _product(lib.product, alpha, A[r0:r1], B, beta, C[r0:r1]))
 
 
 _COMPILED_SUM = _CompiledSum()
@@ -378,18 +355,32 @@ def _split(workers, size, tile, run):
         workers.map(lambda t: run(*t), [(lo, min(lo + tile, size)) for lo in range(0, size, tile)])
 
 
+def _numpy_step(alpha, A, B, beta, C, workers):
+    """matmul's step in NumPy: C scaled by beta, alpha folded into A, and
+    _accumulate over C's row tiles."""
+    if beta == 0.0:
+        C[...] = 0.0
+    elif beta != 1.0:
+        np.multiply(C, beta, out=C)
+    if alpha == 0.0 or A.size == 0 or C.size == 0:
+        return
+    if alpha != 1.0:
+        A = A * alpha  # one rounding per entry, as if folded in at each step
+    _split(workers, C.shape[0], ROW_TILE, lambda r0, r1: _accumulate(A[r0:r1], B, C[r0:r1]))
+
+
 class _At:
-    """matmul's _sum for a product whose operand addresses the caller works
-    out from its arrays' bases: one bandred_product call runs the whole
-    step. Reading an address off a view (ndarray.ctypes) costs about as much
-    as a small product, and a panel column makes four of them."""
+    """matmul's step for a product whose operand addresses the caller works
+    out from its arrays' bases: one bandred_product call runs it. Reading
+    an address off a view (ndarray.ctypes) costs about as much as a small
+    product, and a panel column makes four of them."""
 
     __slots__ = ("fn", "a", "b", "c")
 
     def __init__(self, fn, a, b, c):
         self.fn, self.a, self.b, self.c = fn, a, b, c
 
-    def product(self, alpha, A, B, beta, C, workers):
+    def __call__(self, alpha, A, B, beta, C, workers):
         m, k = A.shape
         (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
         self.fn(m, C.shape[1], k, alpha, beta, self.a, ar >> 3, ac >> 3, self.b, br >> 3,
@@ -397,14 +388,14 @@ class _At:
 
 
 class _SymmLower:
-    """matmul's _sum for symm_lower: out := sym(A2) * W (alpha 1, beta 0)
+    """matmul's step for symm_lower: out := sym(A2) * W (alpha 1, beta 0)
     read straight from A2's lower triangle; two or more workers share
     ROW_TILE-row tiles of out."""
 
     def __init__(self, fn):
         self.fn = fn
 
-    def product(self, alpha, A2, W, beta, out, workers):
+    def __call__(self, alpha, A2, W, beta, out, workers):
         j, n = out.shape
         o = out if out.strides[0] == 8 else np.empty((j, n), order="F")
         (ar, ac), (wr, wc) = A2.strides, W.strides
@@ -419,43 +410,28 @@ class _SymmLower:
             out[...] = o
 
 
-def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_accumulate):
+def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_numpy_step):
     """C := alpha*A*B + beta*C with a fixed summation order over the inner
     dimension (strictly sequential, one rounded product and one rounded sum
     per inner index).
 
     Pass transposed views (A.T / B.T) for transposed operands. Two or more
     workers share disjoint row tiles of C; one worker sums all of C in one
-    sweep. Results are bitwise identical for any worker count. _sum is the
-    C += A*B sum of each tile: _accumulate, or its compiled twin for
-    syr2k_lower and the panels' inner-block updates. A _sum with a product
-    method (_At, _SymmLower) runs the whole step in compiled C instead,
-    after the shape check and the flop charge.
+    sweep. Results are bitwise identical for any worker count. matmul checks
+    the shapes, charges the flops and runs _sum(alpha, A, B, beta, C,
+    workers), the step: _numpy_step, or in compiled C _COMPILED_SUM (the
+    panels' inner-block updates, syr2k_lower), _At (a panel column's
+    products, build_w) or _SymmLower (symm_lower). Every step gives the
+    same bits.
     """
     _as2d(A, "A"), _as2d(B, "B"), _as2d(C, "C")
     m, k = A.shape
     k2, n = B.shape
     if k != k2 or C.shape != (m, n):
         raise ValueError(f"matmul shape mismatch: {A.shape} x {B.shape} -> {C.shape}")
-    product = getattr(_sum, "product", None)
-    if product is not None:
-        if alpha != 0.0 and k and m and n:
-            FLOPS.add("matmul", 2 * m * k * n)
-        product(alpha, A, B, beta, C, workers)
-        return C
-
-    if beta == 0.0:
-        C[...] = 0.0
-    elif beta != 1.0:
-        np.multiply(C, beta, out=C)
-    if alpha == 0.0 or k == 0 or m == 0 or n == 0:
-        return C
-
-    FLOPS.add("matmul", 2 * m * k * n)
-    if alpha != 1.0:
-        A = A * alpha  # one rounding per entry, as if folded in at each step
-
-    _split(workers, m, ROW_TILE, lambda r0, r1: _sum(A[r0:r1], B, C[r0:r1]))
+    if alpha != 0.0 and k and m and n:
+        FLOPS.add("matmul", 2 * m * k * n)
+    _sum(alpha, A, B, beta, C, workers)
     return C
 
 
@@ -530,7 +506,7 @@ def build_w(Y, T):
     lib = _COMPILED_SUM.lib_for(Y, T)
     y, t, w, tc = Y.ctypes.data, T.ctypes.data, W.ctypes.data, T.strides[1]
     for i in range(b):
-        sum_ = _accumulate if lib is None else _At(lib.product, y, t + i * tc, w + 8 * i * j)
+        sum_ = _numpy_step if lib is None else _At(lib.product, y, t + i * tc, w + 8 * i * j)
         matmul(1.0, Y[:, : i + 1], T[: i + 1, i : i + 1], 0.0, W[:, i : i + 1], _sum=sum_)
     return W
 
@@ -580,7 +556,7 @@ def _panel(Q, lq):
     t1 = np.zeros((1, b), order="F")  # v^T times the rest of the inner block
     tmp = np.zeros((b, 1), order="F")  # Y's tail rows^T times v
     lib = _COMPILED_SUM.lib_for(out=(Q,))
-    sums = (_accumulate,) * 4
+    sums = (_numpy_step,) * 4
     if lib is not None:
         fn, (q0, q1) = lib.product, Q.strides
         q, y, t, w1, w2 = (x.ctypes.data for x in (Q, Y, T, t1, tmp))
@@ -748,7 +724,7 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
         d = s1 - s0
         lower = np.tri(d, dtype=bool)
         head = np.where(lower, A2[s0:s1, s0:s1], 0.0)
-        _COMPILED_SUM(L[s0:s1], R[s0:s1].T, head)
+        _COMPILED_SUM(1.0, L[s0:s1], R[s0:s1].T, 1.0, head, None)
         np.copyto(A2[s0:s1, s0:s1], head, where=lower)
         FLOPS.add("syr2k", 2 * k * d * (d + 1))
 

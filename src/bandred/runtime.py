@@ -20,7 +20,7 @@ Logical time is a monotonic counter, not wall clock, so trace assertions
 
 import contextvars
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -128,7 +128,10 @@ class Workers:
 
     The calling thread (the one that runs the group's list) executes the
     first chunk inline and submits the remaining count-1 chunks, so a group
-    of size c runs on its own thread plus c-1 pool threads.
+    of size c runs on its own thread plus c-1 pool threads. map returns or
+    raises only after every chunk has finished, so no chunk still writes
+    into the caller's arrays; it raises the first error, the inline
+    chunk's before the submitted chunks' in order.
     """
 
     def __init__(self, pool, count):
@@ -147,7 +150,10 @@ class Workers:
         bounds = [(len(items) * q) // c for q in range(c + 1)]
         chunks = [items[bounds[q] : bounds[q + 1]] for q in range(c)]
         futures = [_submit(self.pool, self._run_chunk, fn, ch) for ch in chunks[1:]]
-        self._run_chunk(fn, chunks[0])
+        try:
+            self._run_chunk(fn, chunks[0])
+        finally:
+            wait(futures)
         for fut in futures:
             fut.result()
 

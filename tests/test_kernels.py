@@ -34,7 +34,7 @@ from bandred.kernels import (
     ROW_TILE,
     SCRATCH,
     SYM_STRIP,
-    _accumulate,
+    _numpy_step,
     symm_lower,
     syr2k_lower,
 )
@@ -736,7 +736,7 @@ def compiled_sum():
     """The compiled sum the SEVP kernels use, loaded; skipped without cc."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: the NumPy sum is the only path")
-    kernels._COMPILED_SUM(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+    assert kernels._COMPILED_SUM.lib_for() is not None
     return kernels._COMPILED_SUM
 
 
@@ -747,8 +747,7 @@ def numpy_sum():
     fallback = kernels._CompiledSum()
     with pytest.MonkeyPatch.context() as mp, pytest.warns(RuntimeWarning, match="no C compiler"):
         mp.setattr(kernels, "_find_cc", lambda: None)
-        fallback(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
-    assert fallback.fn is None
+        assert fallback.lib_for() is None
     return fallback
 
 
@@ -777,6 +776,7 @@ def test_compiled_sum_runs_wherever_cc_exists(monkeypatch):
         return real_matmul(*args, _sum=_sum, **kw)
 
     monkeypatch.setattr(kernels, "_accumulate", numpy_sum)
+    monkeypatch.setattr(kernels, "_numpy_step", numpy_sum)
     monkeypatch.setattr(kernels, "matmul", compiled_matmul)
     A = _rand(70, 70, 67)
     with warnings.catch_warnings():
@@ -787,27 +787,36 @@ def test_compiled_sum_runs_wherever_cc_exists(monkeypatch):
         qr_panel(_rand(70, 20, 71))
         lq_panel(_rand(20, 70, 72))
         build_w(_rand(70, 5, 73), np.triu(_rand(5, 5, 74)))
-    assert kernels._COMPILED_SUM.fn is not None
+    assert kernels._COMPILED_SUM.lib_for() is not None
 
 
 @st.composite
 def _sum_case(draw):
-    """(m, k, n): tiny or empty, rank-b update, or dot-shaped."""
+    """(m, k, n): tiny or empty, rank-b update, or dot-shaped; alpha and beta
+    from the special values the step branches on, or anything finite."""
     dims = draw(st.one_of(
         st.tuples(*(st.integers(0, 3) for _ in range(3))),
         st.tuples(st.integers(1, 300), st.integers(1, 40), st.integers(1, 80)),
         st.tuples(st.integers(1, 6), st.integers(64, 700), st.integers(1, 6)),
     ))
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
     return dict(
         dims=dims,
         layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
+        alpha=draw(st.one_of(st.sampled_from([1.0, 0.0, -1.0, 0.5]), finite)),
+        beta=draw(st.one_of(st.sampled_from([1.0, 0.0, -2.0]), finite)),
+        workers=draw(WORKER_COUNTS),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_sum_case())
-def test_compiled_sum_matches_numpy_sum_bitwise(case, compiled_sum):
+def test_compiled_sum_matches_numpy_sum_bitwise(case, compiled_sum, pool_workers):
+    """The compiled step gives _numpy_step's bits: a C laid out by rows
+    reaches the transpose rule (alpha 1) or the strided loop, "F" and
+    "transposed" operands the unit-stride loop, "strided" ones the strided
+    loop; two workers share row tiles."""
     m, k, n = case["dims"]
     rng = np.random.default_rng(case["seed"])
     la, lb, lc = case["layouts"]
@@ -815,11 +824,50 @@ def test_compiled_sum_matches_numpy_sum_bitwise(case, compiled_sum):
     B = _laid_out(_extreme_values(rng, (k, n)), lb)
     C0 = _extreme_values(rng, (m, n))
     got, want = _laid_out(C0, lc), _laid_out(C0, lc)
+    args = case["alpha"], A, B, case["beta"]
+    workers = pool_workers[case["workers"]]
     with np.errstate(all="ignore"):
-        compiled_sum(A, B, got)
-        if m and k and n:  # _accumulate needs operands that matmul let through
-            _accumulate(A, B, want)
+        compiled_sum(*args, got, workers)
+        _numpy_step(*args, want, workers)
     assert np.array_equal(_bits(got), _bits(want))
+
+
+def _float32(values):
+    return values.astype(np.float32)
+
+
+def _unaligned(values):
+    """values in a float64 array one byte off its alignment."""
+    buf = bytearray(8 * values.size + 1)
+    out = np.frombuffer(buf, offset=1).reshape(values.shape)
+    out[...] = values
+    return out
+
+
+@pytest.mark.parametrize("operand, make", [
+    ("A", _float32), ("B", _float32), ("A", _unaligned), ("C", _unaligned)])
+def test_operands_the_compiled_product_cannot_read_take_the_numpy_step(operand, make, compiled_sum):
+    """lib_for refuses a float32 operand and an unaligned float64 view, so
+    the compiled step runs _numpy_step and gives its bits."""
+    rng = np.random.default_rng(75)
+    values = {"A": _values(rng, (40, 12)), "B": _values(rng, (12, 30)), "C": _values(rng, (40, 30))}
+    arrays = {name: np.asfortranarray(v) for name, v in values.items()}
+    arrays[operand] = make(arrays[operand])
+    A, B, got = arrays["A"], arrays["B"], arrays["C"]
+    want = got.copy()
+    assert compiled_sum.lib_for(A, B, out=(got,)) is None
+    compiled_sum(0.5, A, B, -2.0, got, None)
+    _numpy_step(0.5, A, B, -2.0, want, None)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, -2.0])
+def test_a_read_only_output_raises_numpys_error(beta, compiled_sum):
+    C = np.zeros((40, 30), order="F")
+    C.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        matmul(1.0, _rand(40, 12, 76), _rand(12, 30, 77), beta, C, _sum=compiled_sum)
+    assert not C.any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -941,17 +989,18 @@ def _host_has_fma():
 
 def test_a_contracted_build_fails_the_bit_check(tmp_path, compiled_sum):
     """Mutation check: the same source built to contract a*b + c into FMAs
-    must disagree with _accumulate on a rank-b product, so the bit tests
-    above would catch a build that contracts."""
+    must disagree with _numpy_step on a rank-b product over unit-stride
+    operands (bandred_product's vectorizable loop), so the bit tests above
+    would catch a build that contracts."""
     flags = ("-O3", "-march=native", "-ffp-contract=fast", "-fPIC", "-shared")
     try:
-        fused = kernels._load_lib(kernels._build_sum(shutil.which("cc"), flags, tmp_path)).accumulate
+        fused = kernels._load_lib(kernels._build_sum(shutil.which("cc"), flags, tmp_path)).product
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"cc cannot build with {flags}: {e}")
     A, B, C0 = _rand(200, 16, 60), _rand(16, 64, 61), _rand(200, 64, 62)
     got, want = C0.copy(order="F"), C0.copy(order="F")
-    kernels._call_sum(fused, A, B, got)
-    _accumulate(A, B, want)
+    kernels._product(fused, 1.0, A, B, 1.0, got)
+    _numpy_step(1.0, A, B, 1.0, want, None)
     differ = np.count_nonzero(_bits(got) != _bits(want))
     if differ == 0 and not _host_has_fma():
         pytest.skip("the host has no FMA, so the contracted build cannot differ")
@@ -986,7 +1035,7 @@ def test_without_a_compiler_the_numpy_sum_warns_once_with_the_same_bits(
         runs = [_compiled_kernel_outputs(pool_workers[w]) for w in (2, 0, 1, 2)]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "no C compiler" in str(caught[0].message)
-    assert kernels._COMPILED_SUM.fn is None
+    assert kernels._COMPILED_SUM.lib_for() is None
     for arrays, flops in runs:
         for got, exp in zip(arrays, want, strict=True):
             assert np.array_equal(_bits(got), _bits(exp))
@@ -1003,12 +1052,12 @@ def test_a_cache_dir_others_can_write_is_refused(tmp_path, mode, compiled_sum):
     got, want = C0.copy(order="F"), C0.copy(order="F")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        refused(A, B, got)
-        refused(A, B, got)
+        refused(1.0, A, B, 1.0, got, None)
+        refused(1.0, A, B, 1.0, got, None)
     assert len(caught) == 1 and "not private" in str(caught[0].message)
-    assert refused.fn is None and list(cache.iterdir()) == []
-    _accumulate(A, B, want)
-    _accumulate(A, B, want)
+    assert refused.lib_for() is None and list(cache.iterdir()) == []
+    _numpy_step(1.0, A, B, 1.0, want, None)
+    _numpy_step(1.0, A, B, 1.0, want, None)
     assert np.array_equal(_bits(got), _bits(want))
 
 
@@ -1019,21 +1068,19 @@ def test_a_cache_dir_another_user_owns_is_refused(tmp_path, compiled_sum):
     os.chown(cache, 12345, -1)
     refused = kernels._CompiledSum(cache_dir=cache)
     with pytest.warns(RuntimeWarning, match="not private"):
-        refused(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
-    assert refused.fn is None
+        assert refused.lib_for() is None
 
 
 def test_a_private_cache_dir_is_built_once_then_loaded(tmp_path, compiled_sum):
     cache = tmp_path / "new" / "bandred"
     first = kernels._CompiledSum(cache_dir=cache)
-    first(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
-    assert first.fn is not None
+    assert first.lib_for() is not None
     assert cache.stat().st_mode & 0o777 == 0o700
     (lib,) = cache.iterdir()
     built = lib.stat().st_mtime_ns
     second = kernels._CompiledSum(cache_dir=cache)
     C = np.zeros((1, 1))
-    second(np.full((1, 1), 3.0), np.full((1, 1), 2.0), C)
+    second(1.0, np.full((1, 1), 3.0), np.full((1, 1), 2.0), 1.0, C, None)
     assert C[0, 0] == 6.0 and list(cache.iterdir()) == [lib]
     assert lib.stat().st_mtime_ns == built
 
@@ -1055,5 +1102,5 @@ def test_only_the_sevp_kernels_build_the_compiled_sum(tmp_path, compiled_sum):
     assert list(tmp_path.iterdir()) == []
     _python("import numpy as np, bandred.kernels as k; "
             "k.symm_lower(np.eye(3), np.ones((3, 2)), np.zeros((3, 2))); "
-            "assert k._COMPILED_SUM.fn is not None", tmp_path)
+            "assert k._COMPILED_SUM.lib_for() is not None", tmp_path)
     assert [p.suffix for p in (tmp_path / "bandred").iterdir()] == [".so"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bandred import (
     SvdConfig,
     SvdForm,
     Task,
+    Workers,
     WriteOverlapError,
     gen_general,
     gen_sym,
@@ -278,6 +280,30 @@ def test_workers_reach_task_bodies():
         outs.append(C)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
+
+
+class _ChunkError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising, first", [({0}, 0), ({1}, 1), ({0, 1}, 0), ({1, 2}, 1)])
+def test_workers_map_waits_for_every_chunk_before_raising(raising, first):
+    """A chunk that raises does not let map return while a sibling chunk
+    still runs on a pool thread. The error raised is the inline chunk's
+    (chunk 0), else the first submitted chunk's."""
+    done = []
+
+    def fn(i):
+        if i in raising:
+            raise _ChunkError(i)
+        time.sleep(0.1 * (i + 1))
+        done.append(i)
+
+    with ExecGroups(3, 0) as groups:
+        with pytest.raises(_ChunkError) as caught:
+            Workers(groups._pool, 3).map(fn, [0, 1, 2])
+        assert caught.value.args == (first,)
+        assert sorted(done) == sorted({0, 1, 2} - raising)
 
 
 @pytest.mark.parametrize("total, ts", [(1, 0), (2, 1)])
