@@ -24,17 +24,21 @@ costs one np.add per output rather than one per tile; with two or more, the
 output is cut into ROW_TILE/COL_TILE tiles for the pool to share. SCRATCH
 bounds the cache footprint either way, and the bits depend on neither.
 
-The panels, build_w, symm_lower and syr2k_lower sum through compiled C
-(_SUM_SOURCE) with the NumPy step's bits: every entry's chain runs in inner
-order, one rounded product and one rounded add per index, and no loop
-vectorizes across an inner index. Every product is still a matmul call,
-which checks the shapes and charges the flops, so the "matmul" flop class
-stays 2mkn per matmul call. Two entry points:
+The panels, build_w, symm_lower, syr2k_lower, and every product of a
+symmetric reduction's tasks (the X products, and the WY applications to
+the mid block and to Q) sum through compiled C (_SUM_SOURCE) with the
+NumPy step's bits: every entry's chain runs in inner order, one rounded
+product and one rounded add per index, and no loop vectorizes across an
+inner index. Every product is still a matmul call, which checks the
+shapes and charges the flops, so the "matmul" flop class stays 2mkn per
+matmul call. Two entry points:
 - bandred_product runs matmul's whole step (beta, alpha, sum) over any
-  strides. _COMPILED_SUM hands it the row tiles of syr2k_lower's strips
-  and of the panels' inner-block updates, reading the addresses off the
-  views; _At hands it the small products of a panel column and of
-  build_w, at addresses the caller works out from its arrays' bases;
+  strides. _COMPILED_SUM hands it the row tiles of syr2k_lower's strips,
+  of the panels' inner-block updates, and of the SEVP X products and WY
+  applications (apply_wy_left/apply_wy_right called with
+  _sum=_COMPILED_SUM), reading the addresses off the views; _At hands it
+  the small products of a panel column and of build_w, at addresses the
+  caller works out from its arrays' bases;
 - bandred_symm_lower sums symm_lower straight from A2's lower triangle
   (_SymmLower).
 The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
@@ -43,8 +47,10 @@ The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
 ~/.cache/bandred, and loaded with ctypes, which releases the GIL for each
 call. Without a compiler, or if the build fails or the cache directory is
 not private to the user, it warns once and every kernel takes its NumPy
-path; so do operands that are not aligned float64. apply_wy_left,
-apply_wy_right and matmul's default step stay on _numpy_step.
+path; so do operands that are not aligned float64. matmul's default step,
+and with it apply_wy_left and apply_wy_right unless told otherwise, stays
+on _numpy_step, so the SVD reductions' applications and Z/X products sum
+in NumPy.
 
 The vector norm (np.linalg.norm) appears only inside house_gen, where every
 schedule makes the identical call on identical data.
@@ -318,9 +324,13 @@ class _CompiledSum:
                     self._lib = _load_lib(_build_sum(cc, _SUM_FLAGS, cache))
                 except (OSError, subprocess.SubprocessError) as e:
                     warnings.warn(f"bandred: compiled sum unavailable ({e}); the panels, build_w, "
-                                  "symm_lower and syr2k_lower use the NumPy sum: same bits, slower",
+                                  "symm_lower, syr2k_lower, the SEVP X products and the SEVP WY "
+                                  "applications use the NumPy sum: same bits, slower",
                                   RuntimeWarning, stacklevel=4)
-                self._ready = True
+                finally:
+                    # Also when the warning is raised as an error: the
+                    # lookup and the build run once per process either way.
+                    self._ready = True
 
     def lib_for(self, *operands, out=()):
         """The loaded entry points, or None where the NumPy path must run:
@@ -420,9 +430,9 @@ def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_numpy_step):
     sweep. Results are bitwise identical for any worker count. matmul checks
     the shapes, charges the flops and runs _sum(alpha, A, B, beta, C,
     workers), the step: _numpy_step, or in compiled C _COMPILED_SUM (the
-    panels' inner-block updates, syr2k_lower), _At (a panel column's
-    products, build_w) or _SymmLower (symm_lower). Every step gives the
-    same bits.
+    panels' inner-block updates, syr2k_lower, the SEVP X products and WY
+    applications), _At (a panel column's products, build_w) or _SymmLower
+    (symm_lower). Every step gives the same bits.
     """
     _as2d(A, "A"), _as2d(B, "B"), _as2d(C, "C")
     m, k = A.shape
@@ -617,12 +627,13 @@ def lq_panel(P):
     return PanelFactors(y=Y, t=T, w=W, r_or_l=L, tau=tau)
 
 
-def apply_wy_left(A, factors, workers=None):
+def apply_wy_left(A, factors, workers=None, *, _sum=_numpy_step):
     """A := A + Y*(W^T*A), the left application of Q^T = (I + W*Y^T)^T.
 
     Each column of A is updated on its own, so the result is bitwise
     invariant under any column split of A; two or more workers share
     COL_TILE-column tiles, one worker runs the whole A as one pair of matmuls.
+    Both matmuls sum through _sum, matmul's step.
     """
     _as2d(A, "A")
     j, b = factors.y.shape
@@ -635,19 +646,20 @@ def apply_wy_left(A, factors, workers=None):
     def run_tile(c0, c1):
         blk = A[:, c0:c1]
         t1 = np.zeros((b, c1 - c0), order="F")
-        matmul(1.0, factors.w.T, blk, 0.0, t1)
-        matmul(1.0, factors.y, t1, 1.0, blk)
+        matmul(1.0, factors.w.T, blk, 0.0, t1, _sum=_sum)
+        matmul(1.0, factors.y, t1, 1.0, blk, _sum=_sum)
 
     _split(workers, c, COL_TILE, run_tile)
     return A
 
 
-def apply_wy_right(A, factors, workers=None):
+def apply_wy_right(A, factors, workers=None, *, _sum=_numpy_step):
     """A := A + (A*W)*Y^T, the right application of I + W*Y^T.
 
     Each row of A is updated on its own, so the result is bitwise invariant
     under any row split of A; two or more workers share ROW_TILE-row tiles,
-    one worker runs the whole A as one pair of matmuls.
+    one worker runs the whole A as one pair of matmuls. Both matmuls sum
+    through _sum, matmul's step.
     """
     _as2d(A, "A")
     j, b = factors.y.shape
@@ -660,8 +672,8 @@ def apply_wy_right(A, factors, workers=None):
     def run_tile(r0, r1):
         blk = A[r0:r1, :]
         t1 = np.zeros((r1 - r0, b), order="F")
-        matmul(1.0, blk, factors.w, 0.0, t1)
-        matmul(1.0, t1, factors.y.T, 1.0, blk)
+        matmul(1.0, blk, factors.w, 0.0, t1, _sum=_sum)
+        matmul(1.0, t1, factors.y.T, 1.0, blk, _sum=_sum)
 
     _split(workers, r, ROW_TILE, run_tile)
     return A

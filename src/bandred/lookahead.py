@@ -114,8 +114,9 @@ def panel_task(task_id, A, span, factor, factors, k):
 
 def apply_task(task_id, M, span, apply, factors, k, panel):
     """The task that applies factors[k] to M's block at span in place with
-    apply (apply_wy_left or apply_wy_right). It reads panel, the span whose
-    factorization makes factors[k], first (see runtime.Task)."""
+    apply (apply_wy_left or apply_wy_right, with its _sum step bound if
+    the caller chooses one). It reads panel, the span whose factorization
+    makes factors[k], first (see runtime.Task)."""
     rows, cols = slice(*span.rows), slice(*span.cols)
 
     def fn(workers):

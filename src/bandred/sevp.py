@@ -37,9 +37,11 @@ against every task's declared spans.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
+from . import kernels
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
 from .lookahead import (
     Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
@@ -101,7 +103,7 @@ class _State:
 
 def _x_tasks(state, k, panel):
     """X1 = sym(A2)*W; X2 = (1/2)X1^T W; X3 = X1 + Y*X2, for the j x bp
-    QR panel at span panel."""
+    QR panel at span panel. All three sum in compiled C where it loads."""
     n, w = state.n, state.w
     j, bp = panel.rows[1] - panel.rows[0], panel.cols[1] - panel.cols[0]
     X1 = np.zeros((j, bp), order="F")
@@ -112,11 +114,11 @@ def _x_tasks(state, k, panel):
         symm_lower(state.A[k + w : n, k + w : n], state.factors[k].w, X1, workers)
 
     def fn2(workers):
-        matmul(0.5, X1.T, state.factors[k].w, 0.0, X2)
+        matmul(0.5, X1.T, state.factors[k].w, 0.0, X2, _sum=kernels._COMPILED_SUM)
 
     def fn3(workers):
         X3[...] = X1
-        matmul(1.0, state.factors[k].y, X2, 1.0, X3)
+        matmul(1.0, state.factors[k].y, X2, 1.0, X3, _sum=kernels._COMPILED_SUM)
 
     x1 = Span(f"X1@{k}", (0, j), (0, bp))
     x2 = Span(f"X2@{k}", (0, bp), (0, bp))
@@ -147,17 +149,20 @@ def _syr2k_task(state, k, X3, panel, c0, c1, tag):
 def _stream(state, k, bp):
     """Iteration k's tasks in Reference order. A QR panel ends at row n,
     so the planner cuts the trailing update only into column strips, each
-    the lower part of its columns."""
+    the lower part of its columns. The mid block and Q applications sum in
+    compiled C where it loads, like every other task here."""
     n, t, f = state.n, k + state.w, state.factors
+    left = partial(apply_wy_left, _sum=kernels._COMPILED_SUM)
+    right = partial(apply_wy_right, _sum=kernels._COMPILED_SUM)
     panel = Span("A", (t, n), (k, k + bp))
     items = [panel_task(f"qr@{k}", state.A, panel, qr_panel, f, k)]
     if state.Q is not None:
         q = Span("Q", (0, n), (t, n))
-        items.append(apply_task(f"accq@{k}", state.Q, q, apply_wy_right, f, k, panel))
+        items.append(apply_task(f"accq@{k}", state.Q, q, right, f, k, panel))
 
     def mid(rows, cols, tag):
         span = Span("A", rows, cols)
-        return apply_task(f"mid{tag}@{k}", state.A, span, apply_wy_left, f, k, panel)
+        return apply_task(f"mid{tag}@{k}", state.A, span, left, f, k, panel)
 
     if bp < state.w:
         items.append(Update((t, n), (k + bp, t), mid))

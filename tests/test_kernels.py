@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from bandred import (
     FLOPS,
     ExecGroups,
+    SevpConfig,
+    SevpVariant,
+    V2Mapping,
     Workers,
     apply_wy_left,
     apply_wy_right,
@@ -25,6 +28,7 @@ from bandred import (
     matmul,
     orth_residual,
     qr_panel,
+    reduce_sym_band,
     Span,
 )
 from bandred import kernels, sevp
@@ -297,6 +301,7 @@ def _wy_case(draw):
         other=draw(st.one_of(st.integers(1, 352), st.sampled_from([edge - 1, edge, edge + 1]))),
         layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
         workers=draw(WORKER_COUNTS),
+        compiled=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -305,7 +310,8 @@ def _wy_case(draw):
 @given(case=_wy_case())
 def test_apply_wy_matches_loop_oracle_bitwise(case, pool_workers):
     """One sweep (no handle, one worker) and shared tiles (two workers) give
-    the loop's bits on both sides; `other` is the tiled dimension of A."""
+    the loop's bits on both sides, on the NumPy step and on the compiled
+    one; `other` is the tiled dimension of A."""
     j, b, other = case["j"], case["b"], case["other"]
     rng = np.random.default_rng(case["seed"])
     la, ly, lw = case["layouts"]
@@ -314,7 +320,8 @@ def test_apply_wy_matches_loop_oracle_bitwise(case, pool_workers):
     A0 = _values(rng, (j, other) if case["side"] == "left" else (other, j))
     got, want = _laid_out(A0, la), _laid_out(A0, la)
     apply = apply_wy_left if case["side"] == "left" else apply_wy_right
-    got_flops = _counted(apply, got, f, pool_workers[case["workers"]])
+    step = kernels._COMPILED_SUM if case["compiled"] else _numpy_step
+    got_flops = _counted(apply, got, f, pool_workers[case["workers"]], _sum=step)
     want_flops = _counted(_wy_loop, case["side"], want, f)
     assert np.array_equal(_bits(got), _bits(want))
     assert got_flops == want_flops
@@ -788,6 +795,53 @@ def test_compiled_sum_runs_wherever_cc_exists(monkeypatch):
         lq_panel(_rand(20, 70, 72))
         build_w(_rand(70, 5, 73), np.triu(_rand(5, 5, 74)))
     assert kernels._COMPILED_SUM.lib_for() is not None
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: the NumPy sum is the only path")
+@pytest.mark.parametrize("variant, b, mapping", [
+    (SevpVariant.REFERENCE, 4, V2Mapping.ON_TS),
+    (SevpVariant.V1, 4, V2Mapping.ON_TS),
+    (SevpVariant.V2, 6, V2Mapping.ON_TS),
+    (SevpVariant.V2, 6, V2Mapping.ON_ALL),
+])
+def test_a_whole_sevp_reduction_sums_in_compiled_c(monkeypatch, variant, b, mapping):
+    """With cc on PATH no task of a symmetric reduction, Q's accumulation
+    included, reaches the NumPy sum on a two-group pool."""
+
+    def numpy_sum(*args):
+        raise AssertionError("an SEVP task summed with NumPy although cc is on PATH")
+
+    monkeypatch.setattr(kernels, "_accumulate", numpy_sum)
+    cfg = SevpConfig(48, 8, b, variant, mapping, accumulate_q=True)
+    with warnings.catch_warnings(), ExecGroups(2, 1) as groups:
+        warnings.simplefilter("error", RuntimeWarning)
+        res = reduce_sym_band(_rand(48, 48, 75), cfg, groups)
+    assert res.iterations > 2 and orth_residual(res.q) < 1e-13
+
+
+def test_a_fallback_warning_raised_as_an_error_leaves_the_numpy_sum(monkeypatch):
+    """Without cc and with RuntimeWarnings as errors, the first kernel call
+    raises the fallback warning; later calls take the NumPy path with the
+    oracle's bits, and the compiler is looked up once."""
+    lookups = []
+
+    def no_cc():
+        lookups.append(None)
+        return None
+
+    monkeypatch.setattr(kernels, "_find_cc", no_cc)
+    monkeypatch.setattr(kernels, "_COMPILED_SUM", kernels._CompiledSum())
+    S, W = _rand(40, 40, 76), _rand(40, 3, 77)
+    want = np.zeros((40, 3), order="F")
+    _matmul_loop(1.0, _densify(S), W, 0.0, want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="no C compiler"):
+            symm_lower(S, W, np.zeros((40, 3), order="F"))
+        for _ in range(2):
+            got = symm_lower(S, W, np.zeros((40, 3), order="F"))
+            assert np.array_equal(_bits(got), _bits(want))
+    assert len(lookups) == 1 and kernels._COMPILED_SUM.lib_for() is None
 
 
 @st.composite
