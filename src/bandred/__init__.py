@@ -68,7 +68,7 @@ from .depgraph import (
     enumerate_tasks,
     to_dot,
 )
-from .oracles import band_check, orth_residual, spectra_match
+from .oracles import band_check, orth_residual, spectrum_deviation
 from .cli import gen_general, gen_sym, load_matrix, save_matrix
 
 __all__ = [
@@ -113,7 +113,7 @@ __all__ = [
     "to_dot",
     "band_check",
     "orth_residual",
-    "spectra_match",
+    "spectrum_deviation",
     "gen_sym",
     "gen_general",
     "save_matrix",

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .depgraph import analyze_overlap, build_dag, enumerate_tasks, to_dot
-from .oracles import band_check, spectra_match
+from .oracles import band_check, spectrum_deviation
 from .runtime import EventTrace, ExecGroups
 from .sevp import SevpConfig, SevpVariant, reduce_sym_band, sevp_nominal_flops
 from .svd import SvdConfig, SvdForm, SvdVariant, reduce_band_svd, svd_nominal_flops
@@ -43,8 +43,7 @@ _SVD_VARIANTS = {
     "svd-v1": SvdVariant.V1,
     "svd-v2": SvdVariant.V2,
 }
-_ALGOS = ["sevp-ref", "sevp-v1", "sevp-v2", "svd-triband",
-          "svd-ref", "svd-sim", "svd-v1", "svd-v2", "depgraph"]
+_ALGOS = [*_SEVP_VARIANTS, "svd-triband", *_SVD_VARIANTS, "depgraph"]
 
 
 def _splitmix64_unit(count: int, seed: int) -> np.ndarray:
@@ -112,14 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int,
                    help="row dimension, SVD algos only (default: n)")
     p.add_argument("--w", type=int, default=16, help="target bandwidth")
-    p.add_argument("--b", type=int, help="block size (default: 16 capped to "
-                                         "the variant's legal range)")
-    p.add_argument("--b-sweep", action="store_true",
-                   help="time every block size in a range, flag the best")
-    p.add_argument("--b-start", type=int, default=16)
-    p.add_argument("--b-end", type=int,
-                   help="default: w, or w/2 for V1 variants")
-    p.add_argument("--b-step", type=int, default=16)
+    p.add_argument("--b", type=int, nargs="+",
+                   help="block sizes, one row each; with more than one, the "
+                        "fastest row is repeated with best=1 (default: 16 "
+                        "capped at w, or w/2 for V1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1, help="total workers")
     p.add_argument("--ts", type=int, default=1,
@@ -140,46 +135,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _legal_blocks(args, parser) -> list[int]:
-    v1 = args.algo in ("sevp-v1", "svd-v1")
-    if args.b_sweep:
-        if args.b is not None:
-            parser.error("--b and --b-sweep are mutually exclusive")
-        cap = args.w // 2 if v1 else args.w
-        end = args.b_end if args.b_end is not None else max(1, cap)
-        if args.b_start < 1 or args.b_step < 1:
-            parser.error("--b-start and --b-step must be positive")
-        blocks = list(range(args.b_start, end + 1, args.b_step))
-        if not blocks:
-            parser.error(f"empty block sweep: start {args.b_start} "
-                         f"end {end} step {args.b_step}")
-        return blocks
-    if args.b is not None:
-        return [args.b]
-    cap = args.w // 2 if v1 else args.w
+def _legal_blocks(args) -> list[int]:
+    if args.b:
+        return args.b
+    cap = args.w // 2 if args.algo in ("sevp-v1", "svd-v1") else args.w
     return [max(1, min(16, cap))]
 
 
-def _verify_sevp(a_in, band, w):
-    ref = np.linalg.eigvalsh(a_in)
-    got = np.linalg.eigvalsh(band)
-    scale = max(float(np.max(np.abs(ref))), np.finfo(np.float64).tiny)
-    ok, dev = spectra_match(ref, got, 1e-11 * scale)
-    off = band_check(band, w, w)
-    return ok and off == 0.0, dev
+def _verify(a_in, res, is_sevp, w):
+    """(ok, deviation): the LAPACK spectra of input and band agree to 1e-11
+    relative, and nothing lies outside the band."""
+    kind, bws = ("eig", (w, w)) if is_sevp else ("sv", (res.lower_bw, res.upper_bw))
+    dev = spectrum_deviation(a_in, res.band, kind)
+    return dev <= 1e-11 and band_check(res.band, *bws) == 0.0, dev
 
 
-def _verify_svd(a_in, result):
-    ref = np.linalg.svd(a_in, compute_uv=False)
-    got = np.linalg.svd(result.band, compute_uv=False)
-    scale = max(float(ref[0]) if ref.size else 0.0, np.finfo(np.float64).tiny)
-    ok, dev = spectra_match(ref, got, 1e-11 * scale)
-    off = band_check(result.band, result.lower_bw, result.upper_bw)
-    return ok and off == 0.0, dev
-
-
-def _emit(row: list[str]) -> None:
-    print(",".join(row), flush=True)
+def _config(algo, m, n, w, b):
+    if algo in _SEVP_VARIANTS:
+        return SevpConfig(n=n, w=w, b=b, variant=_SEVP_VARIANTS[algo])
+    if algo == "svd-triband":
+        return SvdConfig(m=m, n=n, w=w, b=b, form=SvdForm.TRIANGULAR_BAND)
+    return SvdConfig(m=m, n=n, w=w, b=b, variant=_SVD_VARIANTS[algo])
 
 
 def _run_bench(args, parser) -> int:
@@ -196,42 +172,21 @@ def _run_bench(args, parser) -> int:
         if not np.isfinite(np.tril(a_in) if is_sevp else a_in).all():
             parser.error(f"--load: {args.load} holds NaN or Inf "
                          f"where {args.algo} reads it")
-    else:
-        if args.n is None:
-            parser.error("--n is required unless --load is given")
-        if args.n < 1:
-            parser.error("--n must be positive")
-        n = args.n
-        m = args.m if (args.m is not None and not is_sevp) else n
-        if m < 1:
-            parser.error("--m must be positive")
-        a_in = gen_sym(n, args.seed) if is_sevp else gen_general(m, n, args.seed)
-    if args.w < 1:
-        parser.error("--w must be positive")
-    if args.threads < 1:
-        parser.error("--threads must be positive")
-    if not 0 <= args.ts <= args.threads:
-        parser.error("--ts must lie in [0, threads]")
-
-    blocks = _legal_blocks(args, parser)
-    configs = []
-    for b in blocks:
-        try:
-            if is_sevp:
-                cfg = SevpConfig(n=n, w=args.w, b=b,
-                                 variant=_SEVP_VARIANTS[args.algo])
-            elif args.algo == "svd-triband":
-                cfg = SvdConfig(m=m, n=n, w=args.w, b=b,
-                                form=SvdForm.TRIANGULAR_BAND)
-            else:
-                cfg = SvdConfig(m=m, n=n, w=args.w, b=b,
-                                variant=_SVD_VARIANTS[args.algo])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+    elif args.n is None:
+        parser.error("--n is required unless --load is given")
+    try:
+        if not args.load:
+            a_in = (gen_sym(args.n, args.seed) if is_sevp else
+                    gen_general(args.n if args.m is None else args.m, args.n, args.seed))
+        m, n = a_in.shape
+        configs = [_config(args.algo, m, n, args.w, b) for b in _legal_blocks(args)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for cfg in configs:
                 cfg.validate()
-        except ValueError as exc:
-            parser.error(str(exc))
-        configs.append(cfg)
+        groups = ExecGroups(args.threads, args.ts)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.dump:
         save_matrix(args.dump, a_in)
@@ -242,7 +197,7 @@ def _run_bench(args, parser) -> int:
     failed = False
     best_row, best_gf = None, -1.0
     sweep_trace = EventTrace()  # each reduction restarts groups.trace
-    with ExecGroups(args.threads, args.ts) as groups:
+    with groups:
         for cfg in configs:
             t0 = time.perf_counter()
             if is_sevp:
@@ -254,8 +209,7 @@ def _run_bench(args, parser) -> int:
             gf = nominal / secs / 1e9
             dev_txt = ""
             if args.verify:
-                ok, dev = (_verify_sevp(a_in, res.band, args.w) if is_sevp
-                           else _verify_svd(a_in, res))
+                ok, dev = _verify(a_in, res, is_sevp, args.w)
                 dev_txt = repr(dev)
                 if not ok:
                     failed = True
@@ -265,22 +219,20 @@ def _run_bench(args, parser) -> int:
             row = [args.algo, str(m), str(n), str(args.w), str(cfg.b),
                    str(groups.ts_count), str(groups.tp_count),
                    repr(secs), repr(gf), dev_txt, ""]
-            _emit(row)
-            if args.b_sweep and gf > best_gf:
+            print(",".join(row), flush=True)
+            if gf > best_gf:
                 best_gf, best_row = gf, row
-        if args.b_sweep and best_row is not None:
-            _emit(best_row[:-1] + ["1"])
+        if len(configs) > 1:
+            print(",".join(best_row[:-1] + ["1"]), flush=True)
         if args.trace:
             sweep_trace.dump(args.trace)
     return 1 if failed else 0
 
 
 def _run_depgraph(args, parser) -> int:
-    if args.ratio < 1:
-        parser.error("--ratio must be at least 1")
-    b = args.b if args.b is not None else 2
-    if b < 1:
-        parser.error("--b must be positive")
+    if args.b and len(args.b) > 1:
+        parser.error("depgraph takes one --b")
+    b = args.b[0] if args.b else 2
     w = args.ratio * b
     n = args.n if args.n is not None else 24
     m = args.m if args.m is not None else n

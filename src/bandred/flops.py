@@ -14,6 +14,12 @@ Classes: "matmul" is 2mkn for every kernels.matmul call; "house" is 3L per
 Householder reflector of length L; "syr2k" is 4*k*d(d+1)/2 for each d x d
 diagonal block of kernels.syr2k_lower, the triangle it keeps (its
 rectangular body goes through matmul and counts there).
+
+Only "total" is the same for every schedule: syr2k_lower's diagonal
+blocks start where the schedule cuts the trailing update, so a cut moves
+flops between "syr2k" and "matmul". At n=384, w=32, b=24 the SEVP
+Reference counts 8,112,256 "syr2k" flops, V2 on ExecGroups(2, 1)
+7,596,160, both 79,210,128 in total.
 """
 
 import contextvars

@@ -35,13 +35,22 @@ def orth_residual(Q):
     return float(np.linalg.norm(Q.T @ Q - np.eye(n)))
 
 
-def spectra_match(a, b, tol):
-    """Compare two sorted spectra; returns (within_tol, max_deviation)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        return False, float("inf")
-    if a.size == 0:
-        return True, 0.0
-    dev = float(np.max(np.abs(a - b)))
-    return dev <= tol, dev
+def spectrum_deviation(A, band, kind):
+    """Max deviation between the LAPACK spectra of A and of band, relative
+    to max |spectrum of A|: eigenvalues (np.linalg.eigvalsh) for kind
+    "eig", singular values (np.linalg.svd) for kind "sv". Spectra of
+    different lengths give inf; a zero spectrum of A gives 0.0 when band's
+    is zero too and inf otherwise."""
+    if kind == "eig":
+        want, got = np.linalg.eigvalsh(A), np.linalg.eigvalsh(band)
+    elif kind == "sv":
+        want, got = np.linalg.svd(A, compute_uv=False), np.linalg.svd(band, compute_uv=False)
+    else:
+        raise ValueError(f"kind is 'eig' or 'sv', got {kind!r}")
+    if want.shape != got.shape:
+        return float("inf")
+    dev = float(np.max(np.abs(want - got), initial=0.0))
+    scale = float(np.max(np.abs(want), initial=0.0))
+    if scale == 0.0:
+        return 0.0 if dev == 0.0 else float("inf")
+    return dev / scale

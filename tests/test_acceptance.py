@@ -38,6 +38,7 @@ from bandred import (
     reduce_tri_band,
     run_phase,
     sevp_nominal_flops,
+    spectrum_deviation,
     svd_nominal_flops,
 )
 
@@ -64,7 +65,7 @@ def _quiet_reduce(A, cfg, groups=None):
         return reduce_band_svd(A, cfg, groups)
 
 
-def test_ac01_sevp_eigenvalues_preserved(capsys, spectrum_deviation):
+def test_ac01_sevp_eigenvalues_preserved(capsys):
     t0 = time.perf_counter()
     combos = [(w, b) for w in (2, 4, 8) for b in range(1, w + 1)]
     worst = 0.0
@@ -87,7 +88,7 @@ def test_ac01_sevp_eigenvalues_preserved(capsys, spectrum_deviation):
     )
 
 
-def test_ac02_svd_singular_values_preserved(capsys, spectrum_deviation):
+def test_ac02_svd_singular_values_preserved(capsys):
     t0 = time.perf_counter()
     combos = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4), (8, 8), (4, 1), (8, 2)]
     worst = 0.0

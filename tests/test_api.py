@@ -21,7 +21,7 @@ EXPORTS = [
     "reduce_band_svd", "svd_nominal_flops",
     "TaskKind", "TaskNode", "TaskDag", "OverlapReport", "enumerate_tasks",
     "build_dag", "analyze_overlap", "to_dot",
-    "band_check", "orth_residual", "spectra_match",
+    "band_check", "orth_residual", "spectrum_deviation",
     "gen_sym", "gen_general", "save_matrix", "load_matrix",
 ]
 

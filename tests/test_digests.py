@@ -219,10 +219,11 @@ def _reduce(kind, m, n, w, b, A, variant, groups):
 def case_digests(name):
     """The set of (band, Q) digests over every run of one case, and one
     digest of the flop counts of all of its runs, in order (the split of
-    the counts between classes depends on the schedule)."""
+    the counts between classes depends on the schedule). Every run must
+    count the same total."""
     kind, m, n, w, b, seed, variants = CASES[name]
     A = gen_sym(n, seed) if kind in ("sym", "symq") else gen_general(m, n, seed)
-    bits, flops = set(), []
+    bits, flops, totals = set(), [], set()
     for variant in variants:
         for workers in (nullcontext(), ExecGroups(2, 1)):
             with workers as groups, warnings.catch_warnings():
@@ -230,6 +231,8 @@ def case_digests(name):
                 band, q, counts = _reduce(kind, m, n, w, b, A, variant, groups)
             bits.add((_array_digest(band), q if q is None else _array_digest(q)))
             flops.append(sorted(counts.items()))
+            totals.add(counts["total"])
+    assert len(totals) == 1, (name, totals)
     return bits, _sha1(repr(flops).encode())
 
 

@@ -30,6 +30,7 @@ from bandred import (
     qr_panel,
     reduce_sym_band,
     Span,
+    spectrum_deviation,
 )
 from bandred import kernels, sevp
 from bandred.kernels import (
@@ -712,7 +713,7 @@ def test_sym_two_sided_identity_stays_identity():
     assert np.max(np.abs(np.tril(A) - np.tril(np.eye(9)))) <= 1e-13
 
 
-def test_sym_two_sided_matches_dense_similarity(spectrum_deviation):
+def test_sym_two_sided_matches_dense_similarity():
     f = qr_panel(_rand(12, 3, 51))
     A0 = _sym_lower(12, 52)
     dense0 = _densify(A0)

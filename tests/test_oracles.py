@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from bandred import band_check, orth_residual, spectra_match
+from bandred import band_check, orth_residual, spectrum_deviation
 
 
 def test_band_check_identity_is_zero():
@@ -37,21 +38,29 @@ def test_orth_residual_rotation_tiny():
     assert orth_residual(Q) <= 4 * np.finfo(np.float64).eps
 
 
-def test_spectra_match_identical():
-    a = np.array([3.0, 2.0, -1.0])
-    ok, dev = spectra_match(a, a.copy(), 1e-15)
-    assert ok and dev == 0.0
+def test_spectrum_deviation_of_identical_spectra_is_zero():
+    A = np.diag([3.0, 2.0, -1.0])
+    assert spectrum_deviation(A, A.copy(), "eig") == 0.0
+    assert spectrum_deviation(A, A.copy(), "sv") == 0.0
 
 
-def test_spectra_match_inside_and_outside_tol():
-    a = np.array([3.0, 2.0, -1.0])
-    b = a + 5e-13
-    ok, dev = spectra_match(a, b, 1e-12)
-    assert ok and 4e-13 <= dev <= 1e-12
-    ok2, _ = spectra_match(a, a + 2e-12, 1e-12)
-    assert not ok2
+def test_spectrum_deviation_of_a_zero_matrix():
+    Z = np.zeros((3, 3))
+    assert spectrum_deviation(Z, Z.copy(), "eig") == 0.0
+    assert spectrum_deviation(Z, np.diag([0.0, 0.0, 1e-300]), "sv") == float("inf")
 
 
-def test_spectra_match_shape_mismatch():
-    ok, dev = spectra_match(np.zeros(3), np.zeros(4), 1.0)
-    assert not ok and dev == float("inf")
+def test_spectrum_deviation_is_relative():
+    A = np.diag([3.0, 2.0, -1.0])
+    dev = spectrum_deviation(A, A * (1 + 5e-13), "eig")
+    assert 4e-13 <= dev <= 1e-12
+
+
+def test_spectrum_deviation_of_spectra_of_different_lengths_is_inf():
+    assert spectrum_deviation(np.eye(3), np.eye(4), "eig") == float("inf")
+    assert spectrum_deviation(np.eye(1), np.eye(3), "sv") == float("inf")
+
+
+def test_spectrum_deviation_rejects_an_unknown_kind():
+    with pytest.raises(ValueError):
+        spectrum_deviation(np.eye(2), np.eye(2), "qr")

@@ -13,6 +13,7 @@ from bandred import (
     orth_residual,
     reduce_sym_band,
     sevp_nominal_flops,
+    spectrum_deviation,
 )
 
 
@@ -62,7 +63,7 @@ def test_small_matrix_reads_only_the_lower_triangle_and_reports_q_and_flops():
         assert np.array_equal(res.q, np.eye(4)) if aq else res.q is None
 
 
-def test_reduction_preserves_eigenvalues_and_band_pattern(spectrum_deviation):
+def test_reduction_preserves_eigenvalues_and_band_pattern():
     A = _sym(40, 1)
     for b in (2, 3, 6):
         res = reduce_sym_band(A, _cfg(40, 6, b))

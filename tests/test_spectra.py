@@ -20,10 +20,11 @@ from bandred import (
     reduce_band_svd,
     reduce_sym_band,
     reduce_tri_band,
+    spectrum_deviation,
 )
 
 
-def test_benchmark_sizes_keep_their_spectra(spectrum_deviation):
+def test_benchmark_sizes_keep_their_spectra():
     """The benchmark's shapes: SEVP n=384 and SVD 512x256 (band and
     tri-band), w=32, b=16, Reference schedule."""
     S = gen_sym(384, seed=0)
@@ -100,7 +101,7 @@ def _legal(variants, b, w):
     return [v for v in variants if v.value != "v1" or 2 * b <= w]
 
 
-def _check(spectrum_deviation, A, band, lower_bw, upper_bw, s, kind):
+def _check(A, band, lower_bw, upper_bw, s, kind):
     """A finite band, nothing off the band, and the spectrum of band/s within
     1e-11 of that of A/s."""
     assert np.isfinite(band).all()
@@ -112,31 +113,31 @@ def _check(spectrum_deviation, A, band, lower_bw, upper_bw, s, kind):
 @pytest.mark.filterwarnings("ignore:V2 with 2b <= w:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(case=_case(square=True), data=st.data())
-def test_sym_band_keeps_eigenvalues(case, data, spectrum_deviation):
+def test_sym_band_keeps_eigenvalues(case, data):
     n, w, b, s = case["n"], case["w"], case["b"], case["scale"]
     variant = data.draw(st.sampled_from(_legal(list(SevpVariant), b, w)))
     A = _symmetric(np.random.default_rng(case["seed"]), n, case["content"]) * s
     band = reduce_sym_band(A, SevpConfig(n=n, w=w, b=b, variant=variant)).band
-    _check(spectrum_deviation, A, band, w, w, s, "eig")
+    _check(A, band, w, w, s, "eig")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:V2 with 2b <= w:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(case=_case(square=False), data=st.data())
-def test_band_svd_keeps_singular_values(case, data, spectrum_deviation):
+def test_band_svd_keeps_singular_values(case, data):
     m, n, w, b, s = case["m"], case["n"], case["w"], case["b"], case["scale"]
     variant = data.draw(st.sampled_from(_legal(list(SvdVariant), b, w)))
     A = _general(np.random.default_rng(case["seed"]), m, n, case["content"]) * s
     res = reduce_band_svd(A, SvdConfig(m=m, n=n, w=w, b=b, variant=variant))
-    _check(spectrum_deviation, A, res.band, res.lower_bw, res.upper_bw, s, "sv")
+    _check(A, res.band, res.lower_bw, res.upper_bw, s, "sv")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(case=_case(square=False))
-def test_tri_band_keeps_singular_values(case, spectrum_deviation):
+def test_tri_band_keeps_singular_values(case):
     m, n, w, b, s = case["m"], case["n"], case["w"], case["b"], case["scale"]
     A = _general(np.random.default_rng(case["seed"]), m, n, case["content"]) * s
     res = reduce_tri_band(A, w, b)
-    _check(spectrum_deviation, A, res.band, res.lower_bw, res.upper_bw, s, "sv")
+    _check(A, res.band, res.lower_bw, res.upper_bw, s, "sv")

@@ -18,6 +18,7 @@ from bandred import (
     qr_panel,
     reduce_band_svd,
     reduce_tri_band,
+    spectrum_deviation,
     svd_nominal_flops,
 )
 
@@ -44,7 +45,7 @@ def test_tri_already_banded_input_only_flips_signs():
     assert np.array_equal(np.abs(res.band), np.abs(A))
 
 
-def test_tri_small_w_equals_b_oracle(spectrum_deviation):
+def test_tri_small_w_equals_b_oracle():
     A = _rand(10, 6, 1)
     res = reduce_tri_band(A, w=2, b=2)
     assert band_check(res.band, 0, 2) == 0.0
@@ -52,14 +53,14 @@ def test_tri_small_w_equals_b_oracle(spectrum_deviation):
     assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_tri_wide_band_with_smaller_blocks(spectrum_deviation):
+def test_tri_wide_band_with_smaller_blocks():
     A = _rand(18, 14, 2)
     res = reduce_tri_band(A, w=4, b=2)
     assert band_check(res.band, 0, 4) == 0.0
     assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_tri_wide_matrix_reduces_transpose(spectrum_deviation):
+def test_tri_wide_matrix_reduces_transpose():
     A = _rand(6, 10, 3)
     res = reduce_tri_band(A, w=2, b=1)
     assert res.band.shape == (6, 10)
@@ -94,21 +95,21 @@ def test_band_small_matrix_returned_unchanged():
     assert res.flops == {"matmul": 0, "house": 0, "syr2k": 0, "total": 0}
 
 
-def test_band_oracle_square(spectrum_deviation):
+def test_band_oracle_square():
     A = _rand(30, 30, 5)
     res = reduce_band_svd(A, _cfg(30, 30, 6, 3))
     assert band_check(res.band, 6, 6) == 0.0
     assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_band_oracle_rectangular(spectrum_deviation):
+def test_band_oracle_rectangular():
     A = _rand(24, 20, 6)
     res = reduce_band_svd(A, _cfg(24, 20, 4, 4))
     assert band_check(res.band, 4, 4) == 0.0
     assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_band_wide_matrix_reduces_transpose(spectrum_deviation):
+def test_band_wide_matrix_reduces_transpose():
     A = _rand(20, 26, 7)
     res = reduce_band_svd(A, _cfg(20, 26, 4, 2))
     assert res.band.shape == (20, 26)
@@ -116,7 +117,7 @@ def test_band_wide_matrix_reduces_transpose(spectrum_deviation):
     assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_simultaneous_matches_reference_within_tolerance(spectrum_deviation):
+def test_simultaneous_matches_reference_within_tolerance():
     """Same reduction, different trailing-update algebra: the fused form and
     the two-sweep form agree to rounding, never bitwise."""
     A = _rand(24, 20, 8)
@@ -168,7 +169,7 @@ def test_v2_mapping_choice_does_not_change_bits():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_v2_oracle_rectangular(spectrum_deviation):
+def test_v2_oracle_rectangular():
     A = _rand(40, 36, 14)
     with ExecGroups(2, 1) as groups:
         res = reduce_band_svd(A, _cfg(40, 36, 4, 3, SvdVariant.V2), groups)
@@ -176,7 +177,7 @@ def test_v2_oracle_rectangular(spectrum_deviation):
     assert spectrum_deviation(A, res.band, "sv") <= 1e-11
 
 
-def test_rectangular_shape_insensitivity(spectrum_deviation):
+def test_rectangular_shape_insensitivity():
     """The invariants hold across aspect ratios with everything else fixed."""
     for n in (12, 24, 36):
         A = _rand(36, n, 100 + n)
