@@ -109,17 +109,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=_ALGOS)
     p.add_argument("--n", type=int, help="column dimension (rows too for SEVP)")
     p.add_argument("--m", type=int,
-                   help="row dimension, SVD algos only (default: n)")
-    p.add_argument("--w", type=int, default=16, help="target bandwidth")
+                   help="row dimension, SVD algos and depgraph (default: n)")
+    p.add_argument("--w", type=int, help="target bandwidth (default: 16)")
     p.add_argument("--b", type=int, nargs="+",
                    help="block sizes, one row each; with more than one, the "
                         "fastest row is repeated with best=1 (default: 16 "
                         "capped at w, or w/2 for V1)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="total workers")
-    p.add_argument("--ts", type=int, default=1,
-                   help="workers in the sequential group (0: no look-ahead)")
-    p.add_argument("--verify", action="store_true",
+    p.add_argument("--seed", type=int, help="input seed (default: 0)")
+    p.add_argument("--threads", type=int, help="total workers (default: 1)")
+    p.add_argument("--ts", type=int,
+                   help="workers in the sequential group (0: no look-ahead; "
+                        "default: 1)")
+    p.add_argument("--verify", action="store_true", default=None,
                    help="check spectrum/singular values against NumPy's "
                         "LAPACK and the band profile; failures exit 1")
     p.add_argument("--dump", metavar="FILE", help="write the input matrix")
@@ -128,11 +129,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE", help="write the event trace")
     p.add_argument("--dot", metavar="FILE",
                    help="write the dependency DAG (depgraph only)")
-    p.add_argument("--form", choices=["triband", "band"], default="triband",
-                   help="reduction form analyzed by depgraph")
-    p.add_argument("--ratio", type=int, default=1,
-                   help="depgraph bandwidth ratio: w = ratio * b")
+    p.add_argument("--form", choices=["triband", "band"],
+                   help="reduction form analyzed by depgraph (default: "
+                        "triband)")
+    p.add_argument("--ratio", type=int,
+                   help="depgraph bandwidth ratio: w = ratio * b (default: 1)")
     return p
+
+
+# The options of one mode only, by name, with their defaults. They parse to
+# None, so main can tell a given option from an omitted one.
+_BENCH_ONLY = {"verify": False, "threads": 1, "ts": 1, "trace": None,
+               "dump": None, "load": None, "seed": 0, "w": 16}
+_DEPGRAPH_ONLY = {"dot": None, "form": "triband", "ratio": 1}
 
 
 def _legal_blocks(args) -> list[int]:
@@ -257,6 +266,16 @@ def _run_depgraph(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.algo == "depgraph":
+        foreign = [*_BENCH_ONLY]
+    else:
+        foreign = [*_DEPGRAPH_ONLY, *(["m"] if args.algo in _SEVP_VARIANTS else [])]
+    for name in foreign:
+        if getattr(args, name) is not None:
+            parser.error(f"--{name} does not apply to --algo {args.algo}")
+    for name, default in {**_BENCH_ONLY, **_DEPGRAPH_ONLY}.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.algo == "depgraph":
         return _run_depgraph(args, parser)
     return _run_bench(args, parser)

@@ -11,15 +11,14 @@ others run on other threads; the runtime carries the context into its
 pool threads.
 
 Classes: "matmul" is 2mkn for every kernels.matmul call; "house" is 3L per
-Householder reflector of length L; "syr2k" is 4*k*d(d+1)/2 for each d x d
-diagonal block of kernels.syr2k_lower, the triangle it keeps (its
-rectangular body goes through matmul and counts there).
+Householder reflector of length L; "syr2k" is 4k per lower entry of the
+columns a kernels.syr2k_lower call updates, the whole rank-2k update.
 
-Only "total" is the same for every schedule: syr2k_lower's diagonal
-blocks start where the schedule cuts the trailing update, so a cut moves
-flops between "syr2k" and "matmul". At n=384, w=32, b=24 the SEVP
-Reference counts 8,112,256 "syr2k" flops, V2 on ExecGroups(2, 1)
-7,596,160, both 79,210,128 in total.
+Each class counts the same for every schedule, split and worker count: a
+schedule that cuts the trailing update into other column ranges charges
+the same entries to "syr2k". At n=384, w=32, b=24 every SEVP variant
+counts 46,777,856 "matmul", 186,384 "house" and 32,245,888 "syr2k"
+flops, 79,210,128 in total.
 """
 
 import contextvars

@@ -29,28 +29,34 @@ symmetric reduction's tasks (the X products, and the WY applications to
 the mid block and to Q) sum through compiled C (_SUM_SOURCE) with the
 NumPy step's bits: every entry's chain runs in inner order, one rounded
 product and one rounded add per index, and no loop vectorizes across an
-inner index. Every product is still a matmul call, which checks the
-shapes and charges the flops, so the "matmul" flop class stays 2mkn per
-matmul call. Two entry points:
+inner index. Every product but the rank-2k update is still a matmul call,
+which checks the shapes and charges the flops, so the "matmul" flop class
+stays 2mkn per matmul call. Three entry points:
 - bandred_product runs matmul's whole step (beta, alpha, sum) over any
-  strides. _COMPILED_SUM hands it the row tiles of syr2k_lower's strips,
-  of the panels' inner-block updates, and of the SEVP X products and WY
-  applications (apply_wy_left/apply_wy_right called with
-  _sum=_COMPILED_SUM), reading the addresses off the views; _At hands it
-  the small products of a panel column and of build_w, at addresses the
-  caller works out from its arrays' bases;
+  strides. _COMPILED_SUM hands it the row tiles of the panels' inner-block
+  updates and of the SEVP X products and WY applications
+  (apply_wy_left/apply_wy_right called with _sum=_COMPILED_SUM), reading
+  the addresses off the views; _At hands it the small products of a panel
+  column and of build_w, at addresses the caller works out from its
+  arrays' bases;
 - bandred_symm_lower sums symm_lower straight from A2's lower triangle
-  (_SymmLower).
+  (_SymmLower);
+- bandred_syr2k_lower runs syr2k_lower's whole column range, or one
+  SYM_STRIP strip of it per call when workers share it (_syr2k). It
+  charges "syr2k" once, never "matmul".
 The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
 (no FMA contraction, no -ffast-math or -fassociative-math, no
 -march=native) into a per-user cache, $XDG_CACHE_HOME/bandred or
 ~/.cache/bandred, and loaded with ctypes, which releases the GIL for each
-call. Without a compiler, or if the build fails or the cache directory is
-not private to the user, it warns once and every kernel takes its NumPy
-path; so do operands that are not aligned float64. matmul's default step,
-and with it apply_wy_left and apply_wy_right unless told otherwise, stays
-on _numpy_step, so the SVD reductions' applications and Z/X products sum
-in NumPy.
+call. On x86-64 glibc each entry point is built twice through
+target_clones, for AVX2 and for the base ISA, and the loader picks the
+one the CPU runs; the AVX2 target has no FMA, so the clones have the
+same bits. Elsewhere the plain build results. Without a compiler, or if
+the build fails or the cache directory is not private to the user, it
+warns once and every kernel takes its NumPy path; so do operands that are
+not aligned float64. matmul's default step, and with it apply_wy_left and
+apply_wy_right unless told otherwise, stays on _numpy_step, so the SVD
+reductions' applications and Z/X products sum in NumPy.
 
 The vector norm (np.linalg.norm) appears only inside house_gen, where every
 schedule makes the identical call on identical data.
@@ -156,6 +162,22 @@ def _accumulate(A, B, C):
 
 
 _SUM_SOURCE = r"""
+#include <limits.h> /* defines __GLIBC__ where the C library is glibc */
+/* Where the loader can pick a clone at load time (ifunc: x86-64 glibc, with
+   a compiler that knows target_clones), each entry point is built twice, for
+   AVX2 and for the base ISA. The avx2 target brings no FMA and the build
+   keeps -ffp-contract=off, so both clones round alike; define
+   BANDRED_NO_CLONES for the plain build. */
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__GLIBC__) \
+    && defined(__has_attribute) && !defined(BANDRED_NO_CLONES)
+#if __has_attribute(target_clones)
+#define BANDRED_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef BANDRED_CLONES
+#define BANDRED_CLONES
+#endif
+
 /* matmul's whole step at addresses the caller knows, strides in entries:
    C := alpha*A*B + beta*C. Each column of C is scaled by beta (zeroed when
    beta == 0, kept when beta == 1); unless alpha == 0, each entry then adds
@@ -164,6 +186,7 @@ _SUM_SOURCE = r"""
    one-row C keeps each chain in a register; otherwise the i loop is
    innermost, across entries: for unit-stride A and C a compiler may
    vectorize it, never across p. */
+BANDRED_CLONES
 void bandred_product(long m, long n, long k, double alpha, double beta,
                      const double *a, long ar, long ac, const double *b,
                      long br, long bc, double *c, long cr, long cc)
@@ -198,6 +221,7 @@ void bandred_product(long m, long n, long k, double alpha, double beta,
    lower triangle a holds (entry (r, p) at a[r*ar + p*ac]). Rows r0..r1 of
    column p of S go to s first; each entry of out sums from +0.0 over p
    ascending. */
+BANDRED_CLONES
 void bandred_symm_lower(long r0, long r1, long j, long n, const double *a,
                         long ar, long ac, const double *w, long wr, long wc,
                         double *out, long ldo, double *s)
@@ -219,10 +243,41 @@ void bandred_symm_lower(long r0, long r1, long j, long n, const double *a,
         }
     }
 }
+
+/* syr2k_lower: columns c0..c1 of the lower triangle of the j x j matrix a
+   (entry (r, c) at a[r*ar + c*ac]) get a += x*y^T + y*x^T, x and y j x k.
+   Each entry (r, c), r >= c, adds x[r,p]*y[c,p] for p ascending, then
+   y[r,p]*x[c,p] for p ascending: one rounded product and one rounded add
+   per term. The r loop is innermost, across entries: for unit-stride
+   operands a compiler may vectorize it, never across p. */
+BANDRED_CLONES
+void bandred_syr2k_lower(long c0, long c1, long j, long k, double *a, long ar,
+                         long ac, const double *x, long xr, long xc,
+                         const double *y, long yr, long yc)
+{
+    const int unit = ar == 1 && xr == 1 && yr == 1;
+    for (long c = c0; c < c1; c++) {
+        double *acol = a + c * ac;
+        for (long t = 0; t < 2 * k; t++) {
+            /* t < k: x's column times y's entry; then y's times x's */
+            const long p = t < k ? t : t - k;
+            const double *u = t < k ? x + p * xc : y + p * yc;
+            const double v = t < k ? y[c * yr + p * yc] : x[c * xr + p * xc];
+            const long ur = t < k ? xr : yr;
+            if (unit)
+                for (long r = c; r < j; r++)
+                    acol[r] += u[r] * v;
+            else
+                for (long r = c; r < j; r++)
+                    acol[r * ar] += u[r * ur] * v;
+        }
+    }
+}
 """
 # No FMA contraction and no reassociation (-ffast-math, -fassociative-math):
 # either changes bits. No -march=native: a library cached in a home directory
-# shared between hosts must run on each of them.
+# shared between hosts must run on each of them (the AVX2 clones are picked
+# at load time, by the CPU that runs them).
 _SUM_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -270,6 +325,7 @@ def _build_sum(cc, flags, directory):
 _ENTRY_POINTS = {
     "product": "lllddpllpllpll",
     "symm_lower": "llllpllpllplp",
+    "syr2k_lower": "llllpllpllpll",
 }
 
 
@@ -303,9 +359,10 @@ def _product(fn, alpha, A, B, beta, C):
 class _CompiledSum:
     """The compiled _SUM_SOURCE, built and loaded on first use. Called, it is
     a matmul step that hands row tiles to bandred_product; lib_for hands the
-    entry points to build_w, symm_lower and the panels. If the build fails
-    it warns once and every caller takes its NumPy path; so do operands that
-    are not aligned float64 and outputs that are not writeable."""
+    entry points to build_w, symm_lower, syr2k_lower and the panels. If the
+    build fails it warns once and every caller takes its NumPy path; so do
+    operands that are not aligned float64 and outputs that are not
+    writeable."""
 
     def __init__(self, cache_dir=None):
         self._cache_dir = cache_dir
@@ -430,8 +487,8 @@ def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_numpy_step):
     sweep. Results are bitwise identical for any worker count. matmul checks
     the shapes, charges the flops and runs _sum(alpha, A, B, beta, C,
     workers), the step: _numpy_step, or in compiled C _COMPILED_SUM (the
-    panels' inner-block updates, syr2k_lower, the SEVP X products and WY
-    applications), _At (a panel column's products, build_w) or _SymmLower
+    panels' inner-block updates, the SEVP X products and WY applications),
+    _At (a panel column's products, build_w) or _SymmLower
     (symm_lower). Every step gives the same bits.
     """
     _as2d(A, "A"), _as2d(B, "B"), _as2d(C, "C")
@@ -703,18 +760,25 @@ def symm_lower(A2, W, out, workers=None):
     return matmul(1.0, A2, W, 0.0, out, workers, _sum=_SymmLower(lib.symm_lower))
 
 
+def _syr2k(fn, A2, X3, Y, c0, c1):
+    """Columns c0..c1 of syr2k_lower by one call of the compiled fn at the
+    operands' addresses (strides go in entries)."""
+    j, k = X3.shape
+    (ar, ac), (xr, xc), (yr, yc) = A2.strides, X3.strides, Y.strides
+    fn(c0, c1, j, k, A2.ctypes.data, ar >> 3, ac >> 3, X3.ctypes.data, xr >> 3, xc >> 3,
+       Y.ctypes.data, yr >> 3, yc >> 3)
+
+
 def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     """A2[:, c0:c1] += X3*Y^T + Y*X3^T, lower triangle only, exactly.
 
-    With L = [X3 | Y] and R = [Y | X3], the update is L*R^T: one product of
-    inner length 2k whose inner order is the X3*Y^T terms, then the Y*X3^T
-    terms -- a fixed order that any column split of the range preserves per
-    element. Column-strip decomposition: for each SYM_STRIP strip, the
-    rectangular body below the strip's diagonal block is one matmul, and the
-    d x d diagonal block is summed whole on a copy whose lower triangle alone
-    is written back; the flops charged for it, under "syr2k", are those of
-    the triangle alone, 4*k*d(d+1)/2. Both sum through the compiled sum. Two
-    or more workers share the strips.
+    Each lower entry (r, c) adds X3[r, p]*Y[c, p] for p ascending, then
+    Y[r, p]*X3[c, p] for p ascending: one chain of inner length 2k, in an
+    order that no column split of the range changes. The compiled sum runs
+    the whole range in one call (bandred_syr2k_lower); two or more workers
+    share SYM_STRIP-column strips, one call each. Without it, each column
+    sums as two _numpy_step calls. Either way the whole update is charged
+    once to "syr2k", 4k per lower entry of the range.
     """
     _as2d(A2, "A2"), _as2d(X3, "X3"), _as2d(Y, "Y")
     j = A2.shape[0]
@@ -725,25 +789,16 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     k = X3.shape[1]
     if c0 == c1 or k == 0:
         return A2
-    L = np.empty((j, 2 * k), order="F")
-    R = np.empty((j, 2 * k), order="F")
-    L[:, :k] = R[:, k:] = X3
-    L[:, k:] = R[:, :k] = Y
-
-    def run_strip(s0, s1):
-        if s1 < j:
-            matmul(1.0, L[s1:j], R[s0:s1].T, 1.0, A2[s1:j, s0:s1], _sum=_COMPILED_SUM)
-        d = s1 - s0
-        lower = np.tri(d, dtype=bool)
-        head = np.where(lower, A2[s0:s1, s0:s1], 0.0)
-        _COMPILED_SUM(1.0, L[s0:s1], R[s0:s1].T, 1.0, head, None)
-        np.copyto(A2[s0:s1, s0:s1], head, where=lower)
-        FLOPS.add("syr2k", 2 * k * d * (d + 1))
-
-    strips = [(s0, min(s0 + SYM_STRIP, c1)) for s0 in range(c0, c1, SYM_STRIP)]
-    if workers is None or len(strips) == 1:
-        for s in strips:
-            run_strip(*s)
+    FLOPS.add("syr2k", 2 * k * (c1 - c0) * (2 * j - c0 - c1 + 1))
+    lib = _COMPILED_SUM.lib_for(X3, Y, out=(A2,))
+    if lib is None:
+        def run(s0, s1):
+            for c in range(c0 + s0, c0 + s1):
+                col = A2[c:, c : c + 1]
+                _numpy_step(1.0, X3[c:], Y[c : c + 1].T, 1.0, col, None)
+                _numpy_step(1.0, Y[c:], X3[c : c + 1].T, 1.0, col, None)
     else:
-        workers.map(lambda s: run_strip(*s), strips)
+        def run(s0, s1):
+            _syr2k(lib.syr2k_lower, A2, X3, Y, c0 + s0, c0 + s1)
+    _split(workers, c1 - c0, SYM_STRIP, run)
     return A2

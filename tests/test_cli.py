@@ -262,6 +262,24 @@ def test_load_with_nan_or_inf_where_the_reduction_reads_is_a_config_error(tmp_pa
     assert len(_rows(ok)) == 1
 
 
+@pytest.mark.parametrize("args, option", [
+    *((("--algo", algo, "--n", "8", "--w", "2", opt, val), opt)
+      for algo in ("sevp-ref", "svd-ref")
+      for opt, val in (("--dot", "x.dot"), ("--form", "band"), ("--ratio", "2"))),
+    *((("--algo", "depgraph", *given), given[0]) for given in (
+        ("--verify",), ("--threads", "2"), ("--ts", "0"), ("--trace", "t.tsv"),
+        ("--dump", "d.txt"), ("--load", "d.txt"), ("--seed", "3"), ("--w", "4"))),
+    (("--algo", "sevp-ref", "--n", "8", "--m", "8"), "--m"),
+])
+def test_an_option_of_another_mode_is_a_config_error(tmp_path, args, option):
+    """An option the chosen mode would ignore is refused by name, and no
+    file it names is written."""
+    proc = _run(*(str(tmp_path / a) if a.endswith((".dot", ".tsv", ".txt")) else a for a in args))
+    _config_error(proc)
+    assert f"error: {option} does not apply to --algo {args[1]}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dump_waits_for_every_config_check(tmp_path):
     """Each of these is rejected by the library (ExecGroups, the input
     generator or a config's validate), before the dump and the header."""

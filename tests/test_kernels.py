@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -97,18 +98,14 @@ def _matmul_loop(alpha, A, B, beta, C, kind="matmul"):
 
 
 def _syr2k_loop(A2, X3, Y, c0, c1):
-    """syr2k_lower with a column-pair of loop matmuls per head column: the
-    oracle for the blocked head. The head's flops go to the "syr2k" class."""
+    """syr2k_lower as a pair of loop matmuls per column, each from the
+    diagonal down: the oracle for its bits. The whole update is charged to
+    the "syr2k" class."""
     j = A2.shape[0]
-    for s0 in range(c0, c1, SYM_STRIP):
-        s1 = min(s0 + SYM_STRIP, c1)
-        body = A2[s1:j, s0:s1]
-        _matmul_loop(1.0, X3[s1:j, :], Y[s0:s1, :].T, 1.0, body)
-        _matmul_loop(1.0, Y[s1:j, :], X3[s0:s1, :].T, 1.0, body)
-        for cc in range(s0, s1):
-            head = A2[cc:s1, cc : cc + 1]
-            _matmul_loop(1.0, X3[cc:s1, :], Y[cc : cc + 1, :].T, 1.0, head, kind="syr2k")
-            _matmul_loop(1.0, Y[cc:s1, :], X3[cc : cc + 1, :].T, 1.0, head, kind="syr2k")
+    for c in range(c0, c1):
+        col = A2[c:j, c : c + 1]
+        _matmul_loop(1.0, X3[c:j, :], Y[c : c + 1, :].T, 1.0, col, kind="syr2k")
+        _matmul_loop(1.0, Y[c:j, :], X3[c : c + 1, :].T, 1.0, col, kind="syr2k")
     return A2
 
 
@@ -1044,22 +1041,85 @@ def _host_has_fma():
 
 def test_a_contracted_build_fails_the_bit_check(tmp_path, compiled_sum):
     """Mutation check: the same source built to contract a*b + c into FMAs
-    must disagree with _numpy_step on a rank-b product over unit-stride
-    operands (bandred_product's vectorizable loop), so the bit tests above
-    would catch a build that contracts."""
+    must disagree with the NumPy sum on a rank-b product over unit-stride
+    operands (bandred_product's vectorizable loop) and on a rank-2k update
+    (bandred_syr2k_lower's), so the bit tests above would catch a build
+    that contracts."""
     flags = ("-O3", "-march=native", "-ffp-contract=fast", "-fPIC", "-shared")
     try:
-        fused = kernels._load_lib(kernels._build_sum(shutil.which("cc"), flags, tmp_path)).product
+        fused = kernels._load_lib(kernels._build_sum(shutil.which("cc"), flags, tmp_path))
     except (OSError, subprocess.SubprocessError) as e:
         pytest.skip(f"cc cannot build with {flags}: {e}")
     A, B, C0 = _rand(200, 16, 60), _rand(16, 64, 61), _rand(200, 64, 62)
     got, want = C0.copy(order="F"), C0.copy(order="F")
-    kernels._product(fused, 1.0, A, B, 1.0, got)
+    kernels._product(fused.product, 1.0, A, B, 1.0, got)
     _numpy_step(1.0, A, B, 1.0, want, None)
-    differ = np.count_nonzero(_bits(got) != _bits(want))
-    if differ == 0 and not _host_has_fma():
+    S0, X3, Y = _rand(150, 150, 78), _rand(150, 16, 79), _rand(150, 16, 80)
+    got_s, want_s = S0.copy(order="F"), S0.copy(order="F")
+    kernels._syr2k(fused.syr2k_lower, got_s, X3, Y, 0, 150)
+    _syr2k_loop(want_s, X3, Y, 0, 150)
+    differ = [np.count_nonzero(_bits(g) != _bits(w)) for g, w in ((got, want), (got_s, want_s))]
+    if differ == [0, 0] and not _host_has_fma():
         pytest.skip("the host has no FMA, so the contracted build cannot differ")
-    assert differ > 0
+    assert all(differ)
+
+
+@pytest.fixture(scope="module")
+def plain_sum(compiled_sum, tmp_path_factory):
+    """The compiled sum built without the AVX2 clones, loaded."""
+    flags = (*kernels._SUM_FLAGS, "-DBANDRED_NO_CLONES")
+    return kernels._load_lib(kernels._build_sum(shutil.which("cc"), flags, tmp_path_factory.mktemp("plain")))
+
+
+def test_the_clones_are_built_where_the_loader_picks_them(compiled_sum):
+    """On x86-64 glibc the cached library holds an AVX2 clone of each entry
+    point, and only there; elsewhere it is the plain build."""
+    lib = kernels._build_sum(shutil.which("cc"), kernels._SUM_FLAGS, kernels._default_cache_dir())
+    data = lib.read_bytes()
+    want = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
+    for name in kernels._ENTRY_POINTS:
+        assert (f"bandred_{name}.avx2".encode() in data) == want, name
+
+
+@st.composite
+def _clone_case(draw):
+    scalar = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1e3, 1e3, allow_nan=False))
+    j = draw(st.integers(1, 150))
+    c0 = draw(st.integers(0, j))
+    return dict(
+        dims=(j, draw(st.integers(0, 20)), draw(st.integers(1, 40))),
+        cols=(c0, draw(st.integers(c0, j))),
+        layouts=tuple(draw(st.sampled_from(LAYOUTS)) for _ in range(3)),
+        alpha=draw(scalar),
+        beta=draw(scalar),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_clone_case())
+def test_the_clones_give_the_plain_builds_bits(case, compiled_sum, plain_sum):
+    """Every entry point of the loaded library, its AVX2 clone where the
+    host has AVX2, gives the bits of the plain build over random operands,
+    layouts and alpha/beta."""
+    j, k, n = case["dims"]
+    rng = np.random.default_rng(case["seed"])
+    la, lb, lc = case["layouts"]
+    A, X3, Y = (_laid_out(_extreme_values(rng, (j, k)), lay) for lay in (la, lb, lc))
+    B = _laid_out(_extreme_values(rng, (k, n)), lb)
+    S = _laid_out(_extreme_values(rng, (j, j)), la)
+    W = _laid_out(_extreme_values(rng, (j, n)), lb)
+    C0 = _extreme_values(rng, (j, n))
+    outs = []
+    for lib in (compiled_sum.lib_for(), plain_sum):
+        C, T, out = _laid_out(C0, lc), _laid_out(S, la), _laid_out(C0, lc)
+        with np.errstate(all="ignore"):
+            kernels._product(lib.product, case["alpha"], A, B, case["beta"], C)
+            kernels._syr2k(lib.syr2k_lower, T, X3, Y, *case["cols"])
+            kernels._SymmLower(lib.symm_lower)(1.0, S, W, 0.0, out, None)
+        outs.append((C, T, out))
+    for got, want in zip(*outs, strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def _compiled_kernel_outputs(workers=None):
@@ -1086,7 +1146,8 @@ def test_without_a_compiler_the_numpy_sum_warns_once_with_the_same_bits(
     monkeypatch.setattr(kernels, "_COMPILED_SUM", kernels._CompiledSum())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # the first use comes from two pool threads at once (syr2k_lower's strips)
+        # the first use comes from two pool threads at once
+        pool_workers[2].map(lambda _: kernels._COMPILED_SUM.lib_for(), range(2))
         runs = [_compiled_kernel_outputs(pool_workers[w]) for w in (2, 0, 1, 2)]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "no C compiler" in str(caught[0].message)

@@ -251,8 +251,9 @@ def test_counted_flops_track_nominal():
 
 # Counted flops of n=96, w=16, b=8, one class at a time: the schedules
 # share every task body, so all three variants count the same, and a kernel
-# that moved work between classes (a syr2k body outside matmul, say) shows.
-PINNED_FLOPS_96 = {"matmul": 2123712, "house": 9720, "syr2k": 352128, "total": 2485560}
+# that moved work between classes (part of the rank-2k update charged to
+# "matmul", say) shows.
+PINNED_FLOPS_96 = {"matmul": 2074560, "house": 9720, "syr2k": 401280, "total": 2485560}
 
 
 @pytest.mark.filterwarnings("ignore:V2 with 2b <= w:RuntimeWarning")
