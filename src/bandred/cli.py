@@ -183,19 +183,24 @@ def _run_bench(args, parser) -> int:
                          f"where {args.algo} reads it")
     elif args.n is None:
         parser.error("--n is required unless --load is given")
+    # A library error names the library's parameters; the options of the
+    # step that raised it go in front.
+    options = "--load" if args.load else "--n/--m"
     try:
         if not args.load:
             a_in = (gen_sym(args.n, args.seed) if is_sevp else
                     gen_general(args.n if args.m is None else args.m, args.n, args.seed))
         m, n = a_in.shape
+        options += "/--w/--b"
         configs = [_config(args.algo, m, n, args.w, b) for b in _legal_blocks(args)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for cfg in configs:
                 cfg.validate()
+        options = "--threads/--ts"
         groups = ExecGroups(args.threads, args.ts)
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"{options}: {exc}")
 
     if args.dump:
         save_matrix(args.dump, a_in)
@@ -251,7 +256,7 @@ def _run_depgraph(args, parser) -> int:
         dag = build_dag(tasks, m, n, w, b, form)
         report = analyze_overlap(dag, w, b, form)
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"--n/--m/--b/--ratio: {exc}")
     print(f"form={args.form} m={m} n={n} w={w} b={b} "
           f"tasks={len(dag.nodes)} edges={len(dag.edges)} "
           f"steady={len(report.steady_iterations)} "

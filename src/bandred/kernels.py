@@ -11,18 +11,21 @@ how the output is tiled, split across tasks or shared among workers.
 That property is what lets the look-ahead variants repartition updates
 freely while staying bitwise comparable to the reference schedule.
 
-The work is still vectorized: one broadcast multiply forms a chunk of inner
-products in a scratch stack of fixed size (SCRATCH), and the chunk is summed
-in order either by np.add.accumulate down the stack (small outputs) or by one
-slot-wide np.add per inner index (large outputs). np.add.reduce, einsum, @,
-np.dot and BLAS gemm are deliberately not used: they sum pairwise or in
+The work is still vectorized, by one strategy: C is cut into column tiles of
+at most SCRATCH entries, one broadcast multiply forms a chunk of inner
+products in a scratch stack, one tile-shaped slot per inner index, and one
+slot-wide np.add per inner index sums the chunk into the tile in order. A
+chunk holds as many slots as fit SCRATCH, so the stack stays within
+max(SCRATCH, rows of C) entries for any inner length. np.add.reduce, einsum,
+@, np.dot and BLAS gemm are deliberately not used: they sum pairwise or in
 shape-dependent blocks and do not have this stability.
 
 Tiles only split work among workers. With one worker (workers None or of
 count 1) each kernel sums its whole output in one sweep, so an inner index
-costs one np.add per output rather than one per tile; with two or more, the
-output is cut into ROW_TILE/COL_TILE tiles for the pool to share. SCRATCH
-bounds the cache footprint either way, and the bits depend on neither.
+costs one np.add per column tile of the whole output rather than one per
+ROW_TILE tile; with two or more, the output is cut into ROW_TILE/COL_TILE
+tiles for the pool to share. SCRATCH bounds the cache footprint either way,
+and the bits depend on neither.
 
 The panels, build_w, symm_lower, syr2k_lower, and every product of a
 symmetric reduction's tasks (the X products, and the WY applications to
@@ -85,11 +88,10 @@ from .flops import FLOPS
 ROW_TILE = 128
 COL_TILE = 128
 SYM_STRIP = 64
-# Scratch of one _accumulate call, in float64 entries (128 KB), and the
-# largest output block it sums with np.add.accumulate. Fixed: how a sum is
-# computed depends only on operand shapes, never on workers or workload.
+# Scratch of one _accumulate call, in float64 entries (128 KB), or one
+# column of C where that is taller. Fixed: how a sum is computed depends
+# only on operand shapes, never on workers or workload.
 SCRATCH = 16384
-CHAIN_BLOCK = 256
 # Columns (qr_panel) or rows (lq_panel) factored before the panel's next
 # inner block is updated at once. Unlike the tiles, it sets the bits.
 PANEL_INNER_B = 16
@@ -118,35 +120,19 @@ def _accumulate(A, B, C):
     """C += A*B: per entry, one rounded product and one rounded sum for each
     inner index, summed in strict inner order. A already carries alpha.
 
-    One broadcast multiply writes a chunk of inner products into a scratch
-    stack of at most SCRATCH entries, one rows x cols slot per inner index.
-    How the chunk is summed depends only on the shape of C:
-
-    - C with at most CHAIN_BLOCK entries: slot 0 holds C, and one
-      np.add.accumulate down the stack runs every entry's chain at once.
-      accumulate is a sequential prefix sum by definition, but each of its
-      adds waits for the one before, so it pays off only where a per-index
-      call would cost more than the chains.
-    - larger C, cut into column tiles of at most SCRATCH entries (one
-      column at least, for C taller than SCRATCH): one np.add of each slot
-      into the tile, in inner order.
+    C is cut into column tiles of at most SCRATCH entries (one column at
+    least, for C taller than SCRATCH). For each chunk of inner indices, one
+    broadcast multiply writes the products into a scratch stack, one slot
+    shaped like the tile per index, and one np.add per slot adds them into
+    the tile in inner order. The chunk holds as many slots as fit SCRATCH
+    (one at least), so the stack never holds more than max(SCRATCH, rows)
+    entries, whatever k and n are.
 
     np.add.reduce, einsum, @ and np.dot are never used: they sum pairwise or
     in BLAS-chosen blocks, so their bits depend on the operand shapes.
     """
     rows, k = A.shape
     n = C.shape[1]
-    if rows * n <= CHAIN_BLOCK:
-        kc = min(k, SCRATCH // (rows * n) - 1)
-        stack = _slots(kc + 1, rows, n, C)
-        for p0 in range(0, k, kc):
-            p1 = min(p0 + kc, k)
-            st = stack[: p1 - p0 + 1]
-            st[0] = C
-            np.multiply(A[:, p0:p1].T[:, :, None], B[p0:p1, None, :], out=st[1:])
-            np.add.accumulate(st, axis=0, out=st)
-            C[...] = st[-1]
-        return
     cols = min(n, max(1, SCRATCH // rows))
     kc = min(k, max(1, SCRATCH // (rows * cols)))
     stack = _slots(kc, rows, cols, C)
@@ -343,17 +329,34 @@ def _load_lib(lib):
     return SimpleNamespace(**fns)
 
 
+class _At:
+    """matmul's step for a product whose operand addresses the caller works
+    out from its arrays' bases: one bandred_product call runs it. Reading
+    an address off a view (ndarray.ctypes) costs about as much as a small
+    product, and a panel column makes four of them. Its call is the one
+    place that spells out bandred_product's arguments (strides go in
+    entries)."""
+
+    __slots__ = ("fn", "a", "b", "c")
+
+    def __init__(self, fn, a, b, c):
+        self.fn, self.a, self.b, self.c = fn, a, b, c
+
+    def __call__(self, alpha, A, B, beta, C, workers):
+        m, k = A.shape
+        (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
+        self.fn(m, C.shape[1], k, alpha, beta, self.a, ar >> 3, ac >> 3, self.b, br >> 3,
+                bc >> 3, self.c, cr >> 3, cc >> 3)
+
+
 def _product(fn, alpha, A, B, beta, C):
     """C := alpha*A*B + beta*C by one call of the compiled product fn at the
-    operands' addresses (strides go in entries). A C laid out by rows is
-    summed as C^T = B^T A^T when alpha is 1, so the loop runs down C's unit
-    stride: the same products in the same order."""
+    addresses of the views. A C laid out by rows is summed as C^T = B^T A^T
+    when alpha is 1, so the loop runs down C's unit stride: the same
+    products in the same order."""
     if alpha == 1.0 and C.strides[0] > C.strides[1]:
         A, B, C = B.T, A.T, C.T
-    m, k = A.shape
-    (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
-    fn(m, C.shape[1], k, alpha, beta, A.ctypes.data, ar >> 3, ac >> 3, B.ctypes.data, br >> 3,
-       bc >> 3, C.ctypes.data, cr >> 3, cc >> 3)
+    _At(fn, A.ctypes.data, B.ctypes.data, C.ctypes.data)(alpha, A, B, beta, C, None)
 
 
 class _CompiledSum:
@@ -434,24 +437,6 @@ def _numpy_step(alpha, A, B, beta, C, workers):
     if alpha != 1.0:
         A = A * alpha  # one rounding per entry, as if folded in at each step
     _split(workers, C.shape[0], ROW_TILE, lambda r0, r1: _accumulate(A[r0:r1], B, C[r0:r1]))
-
-
-class _At:
-    """matmul's step for a product whose operand addresses the caller works
-    out from its arrays' bases: one bandred_product call runs it. Reading
-    an address off a view (ndarray.ctypes) costs about as much as a small
-    product, and a panel column makes four of them."""
-
-    __slots__ = ("fn", "a", "b", "c")
-
-    def __init__(self, fn, a, b, c):
-        self.fn, self.a, self.b, self.c = fn, a, b, c
-
-    def __call__(self, alpha, A, B, beta, C, workers):
-        m, k = A.shape
-        (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
-        self.fn(m, C.shape[1], k, alpha, beta, self.a, ar >> 3, ac >> 3, self.b, br >> 3,
-                bc >> 3, self.c, cr >> 3, cc >> 3)
 
 
 class _SymmLower:

@@ -165,18 +165,25 @@ def test_wide_matrix_charges_the_transposed_problem():
 
 
 def test_config_errors_exit_2():
+    # (args, the option a library error must name, or None)
     checks = [
-        ("--algo", "sevp-v1", "--n", "24", "--w", "4", "--b", "3"),  # 2b > w
-        ("--algo", "sevp-ref"),  # no --n and no --load
-        ("--algo", "sevp-ref", "--n", "24", "--b", "40"),  # b > w
-        ("--algo", "sevp-ref", "--n", "24", "--threads", "2", "--ts", "3"),
-        ("--algo", "nope", "--n", "8"),
-        ("--algo", "depgraph", "--b", "2", "4"),  # depgraph analyzes one b
-        ("--algo", "depgraph", "--ratio", "0"),  # w = 0 < b
+        (("--algo", "sevp-v1", "--n", "24", "--w", "4", "--b", "3"), "--b"),  # 2b > w
+        (("--algo", "sevp-ref"), None),  # no --n and no --load
+        (("--algo", "sevp-ref", "--n", "24", "--b", "40"), "--b"),  # b > w
+        (("--algo", "sevp-ref", "--n", "24", "--threads", "2", "--ts", "3"), "--ts"),
+        (("--algo", "sevp-ref", "--n", "8", "--threads", "0"), "--threads"),
+        (("--algo", "svd-ref", "--n", "0"), "--n"),
+        (("--algo", "nope", "--n", "8"), None),
+        (("--algo", "depgraph", "--b", "2", "4"), None),  # depgraph analyzes one b
+        (("--algo", "depgraph", "--ratio", "0"), "--ratio"),  # w = 0 < b
     ]
-    for args in checks:
+    for args, option in checks:
         proc = _run(*args)
         assert proc.returncode == 2, (args, proc.stderr)
+        if option:
+            # "bandred-bench: error: --threads/--ts: ...", after argparse's usage
+            error = proc.stderr.strip().splitlines()[-1]
+            assert option in error.split("error: ", 1)[1].split(": ")[0].split("/"), error
 
 
 def test_block_sweep_emits_best_row():

@@ -35,7 +35,6 @@ from bandred import (
 )
 from bandred import kernels, sevp
 from bandred.kernels import (
-    CHAIN_BLOCK,
     COL_TILE,
     ROW_TILE,
     SCRATCH,
@@ -152,17 +151,14 @@ WORKER_COUNTS = st.sampled_from([0, 1, 2])
 
 def _edge_dims(draw):
     """(m, k, n) on or next to an inner-chunk or column-tile edge of the
-    scratch stack, on both sides of the accumulate/slot-add split. Rows past
-    ROW_TILE reach _accumulate whole on one worker."""
-    rows = draw(st.sampled_from([1, 2, 5, 16, 64, ROW_TILE, 200, 2 * ROW_TILE + 1, 352]))
+    scratch stack. Rows past ROW_TILE reach _accumulate whole on one worker,
+    and rows past SCRATCH take one column per tile."""
+    rows = draw(st.sampled_from([1, 2, 5, 16, 64, ROW_TILE, 200, 2 * ROW_TILE + 1, 352,
+                                 SCRATCH + 1]))
     nudge = st.sampled_from([-1, 0, 1])
-    if draw(st.booleans()):  # chain path: small C, long chunks
-        n = max(1, min(CHAIN_BLOCK // rows + draw(nudge), 300))
-        kc = max(1, SCRATCH // (rows * n) - 1)
-    else:  # slot path: wide C, column tiles of SCRATCH // rows
-        cols = SCRATCH // rows
-        n = max(1, min(draw(st.sampled_from([1, 2])) * cols + draw(nudge), 300))
-        kc = max(1, SCRATCH // (rows * min(n, cols)))
+    cols = max(1, SCRATCH // rows)
+    n = max(1, min(draw(st.sampled_from([1, 2])) * cols + draw(nudge), 300))
+    kc = max(1, SCRATCH // (rows * min(n, cols)))
     k = max(1, min(draw(st.sampled_from([1, 2])) * kc + draw(nudge), 1500))
     return rows, k, n
 
@@ -355,6 +351,30 @@ def test_matmul_scaled_accumulate_matches_triple_loop_bitwise():
     got = C0.copy()
     matmul(1.7, A, B, 0.3, got)
     assert np.array_equal(got, want)
+
+
+def test_the_numpy_sum_scratch_stack_stays_within_its_bound(monkeypatch):
+    """Every scratch stack of the NumPy sum holds at most max(SCRATCH, rows)
+    entries, on both sides of each column-tile and inner-chunk edge, for C
+    below and above SCRATCH rows: the cache footprint the README states."""
+    stacks = []
+    real = kernels._slots
+
+    def slots(depth, rows, cols, C):
+        stacks.append((depth * rows * cols, rows))
+        return real(depth, rows, cols, C)
+
+    monkeypatch.setattr(kernels, "_slots", slots)
+    for rows in (1, 5, 200, SCRATCH - 1, SCRATCH, SCRATCH + 1):
+        cols = max(1, SCRATCH // rows)
+        for n in sorted({1, max(1, cols - 1), cols, cols + 1}):
+            kc = max(1, SCRATCH // (rows * min(n, cols)))
+            for k in sorted({max(1, kc - 1), kc, kc + 1}):
+                stacks.clear()
+                C = np.zeros((rows, n), order="F")
+                matmul(1.0, _rand(rows, k, 77), _rand(k, n, 78), 0.0, C)
+                assert stacks, (rows, k, n)
+                assert all(size <= max(SCRATCH, r) for size, r in stacks), (rows, k, n, stacks)
 
 
 def test_matmul_alpha_zero_beta_one_is_identity():
