@@ -45,7 +45,6 @@ from .sevp import (
     SevpConfig,
     SevpResult,
     SevpVariant,
-    V2Mapping,
     reduce_sym_band,
     sevp_nominal_flops,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "SevpConfig",
     "SevpResult",
     "SevpVariant",
-    "V2Mapping",
     "reduce_sym_band",
     "sevp_nominal_flops",
     "SvdConfig",

@@ -278,6 +278,9 @@ def main(argv=None) -> int:
     for name in foreign:
         if getattr(args, name) is not None:
             parser.error(f"--{name} does not apply to --algo {args.algo}")
+    for name in ("n", "m", "seed"):
+        if args.load is not None and getattr(args, name) is not None:
+            parser.error(f"--{name} does not apply with --load")
     for name, default in {**_BENCH_ONLY, **_DEPGRAPH_ONLY}.items():
         if getattr(args, name) is None:
             setattr(args, name, default)

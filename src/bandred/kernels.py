@@ -45,7 +45,7 @@ stays 2mkn per matmul call. Three entry points:
 - bandred_symm_lower sums symm_lower straight from A2's lower triangle
   (_SymmLower);
 - bandred_syr2k_lower runs syr2k_lower's whole column range, or one
-  SYM_STRIP strip of it per call when workers share it (_syr2k). It
+  worker's piece of it per call when workers share it (_syr2k). It
   charges "syr2k" once, never "matmul".
 The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
 (no FMA contraction, no -ffast-math or -fassociative-math, no
@@ -83,8 +83,9 @@ import numpy as np
 from .flops import FLOPS
 
 # Tile edges for sharing an output among two or more workers (see _split);
-# one worker sums the whole output at once. SYM_STRIP is the column strip of
-# syr2k_lower. No entry's bits depend on any of them.
+# one worker sums the whole output at once. syr2k_lower shares its columns
+# only when it has more than SYM_STRIP of them. No entry's bits depend on
+# any of them.
 ROW_TILE = 128
 COL_TILE = 128
 SYM_STRIP = 64
@@ -754,6 +755,16 @@ def _syr2k(fn, A2, X3, Y, c0, c1):
        Y.ctypes.data, yr >> 3, yc >> 3)
 
 
+def _syr2k_pieces(j, c0, c1, count):
+    """Columns [c0, c1) of a j x j lower triangle cut into count runs of
+    near-equal lower entries (column c holds j - c), as (lo, hi) offsets
+    from c0: each cut lies at the column boundary nearest its share."""
+    before = np.concatenate(([0], np.cumsum(np.arange(j - c0, j - c1, -1))))
+    cuts = [int(np.abs(before - before[-1] * q / count).argmin()) for q in range(1, count)]
+    bounds = [0, *cuts, c1 - c0]
+    return list(zip(bounds, bounds[1:]))
+
+
 def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     """A2[:, c0:c1] += X3*Y^T + Y*X3^T, lower triangle only, exactly.
 
@@ -761,9 +772,10 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     Y[r, p]*X3[c, p] for p ascending: one chain of inner length 2k, in an
     order that no column split of the range changes. The compiled sum runs
     the whole range in one call (bandred_syr2k_lower); two or more workers
-    share SYM_STRIP-column strips, one call each. Without it, each column
-    sums as two _numpy_step calls. Either way the whole update is charged
-    once to "syr2k", 4k per lower entry of the range.
+    share a range of more than SYM_STRIP columns in one piece each, the
+    pieces near-equal in lower entries (_syr2k_pieces), one call per piece.
+    Without it, each column sums as two _numpy_step calls. Either way the
+    whole update is charged once to "syr2k", 4k per lower entry of the range.
     """
     _as2d(A2, "A2"), _as2d(X3, "X3"), _as2d(Y, "Y")
     j = A2.shape[0]
@@ -785,5 +797,8 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     else:
         def run(s0, s1):
             _syr2k(lib.syr2k_lower, A2, X3, Y, c0 + s0, c0 + s1)
-    _split(workers, c1 - c0, SYM_STRIP, run)
+    if workers is None or workers.count == 1 or c1 - c0 <= SYM_STRIP:
+        run(0, c1 - c0)
+    else:
+        workers.map(lambda piece: run(*piece), _syr2k_pieces(j, c0, c1, workers.count))
     return A2

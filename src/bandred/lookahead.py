@@ -23,10 +23,10 @@ or spilling into the trailing update (2b > w). One rule covers both:
   Prologue     a "prologue" phase runs iteration 0's panels; iteration k
                then drops its own panels, which already ran.
   V2 phase 1   under V2, when iteration k has products, the stream prefix
-               through the last product is phase iter@k/p1: ON_TS puts
-               the other tasks on the sequential list and the products on
-               the parallel one, ON_ALL everything on the parallel one.
-               The rest is iter@k/p2. Otherwise iteration k is one phase,
+               through the last product is phase iter@k/p1: its other
+               tasks (the block updates and Q's application) go on the
+               sequential list, the products on the parallel one. The
+               rest is iter@k/p2. Otherwise iteration k is one phase,
                iter@k.
   Placement    the sequential list holds the next panels and exactly what
                they read: each update is cut where a next panel's row end
@@ -43,20 +43,9 @@ sequential list and <id-base>-rest (-rest1, -rest2, ...) on the parallel one.
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 from .flops import flop_scope
 from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
-
-
-class V2Mapping(Enum):
-    """Placement of V2's phase-1 block updates (the mid block in the
-    symmetric reduction, B1/C1 in the general one): ON_TS runs them on the
-    sequential group concurrently with the products on the parallel group;
-    ON_ALL runs everything in order on the combined pool."""
-
-    ON_TS = "on_ts"
-    ON_ALL = "on_all"
 
 
 @dataclass
@@ -186,14 +175,14 @@ def _cut(items, nxt, label):
     return PhasePlan(seq, par, label=label)
 
 
-def plan(stream, ks, lookahead=False, v2_mapping=None):
+def plan(stream, ks, lookahead=False, v2=False):
     """Yield the PhasePlans of a run over the leading columns ks.
 
     stream(k) lists iteration k's Tasks and Updates in Reference order; it
     is called once per iteration, at most one iteration ahead of the phase
     being planned. lookahead=False gives the Reference (or Simultaneous)
-    schedule of the streams; lookahead=True gives V1 when v2_mapping is
-    None and V2 with that mapping otherwise. Planning runs no task.
+    schedule of the streams; lookahead=True gives V1, or V2 when v2 is
+    True. Planning runs no task.
     """
     if not lookahead:
         for k in ks:
@@ -208,14 +197,11 @@ def plan(stream, ks, lookahead=False, v2_mapping=None):
         items = [it for it in cur if not _is_panel(it)]
         label = f"iter@{k}"
         last = max((i for i, it in enumerate(items) if _is_product(it)), default=None)
-        if v2_mapping is not None and last is not None:
+        if v2 and last is not None:
             lead = [_task(it) for it in items[: last + 1]]
             items = items[last + 1 :]
-            if v2_mapping is V2Mapping.ON_TS:
-                seq = [t for t in lead if not _is_product(t)]
-                par = [t for t in lead if _is_product(t)]
-            else:
-                seq, par = [], lead
+            seq = [t for t in lead if not _is_product(t)]
+            par = [t for t in lead if _is_product(t)]
             yield PhasePlan(seq, par, label=f"{label}/p1")
             label += "/p2"
         yield _cut(items, nxt, label)

@@ -25,8 +25,8 @@ over identical task bodies:
              panel lies inside the mid block, so the mid block is cut at
              its column end; with 2b > w (V2) it spills into the trailing
              block, so the trailing update is cut there. V2 first runs a
-             phase that updates the mid block (on the sequential group
-             under V2Mapping.ON_TS) while the parallel group forms X1..X3.
+             phase that updates the mid block on the sequential group
+             while the parallel group forms X1..X3.
 
 Because every update kernel is bitwise split-stable (see kernels), the three
 schedules produce bitwise-identical bands when serialized; with real
@@ -43,9 +43,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
-from .lookahead import (
-    Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
-)
+from .lookahead import Update, apply_task, check_variant, panel_task, plan, run, schedule
 from .runtime import Span, Task
 
 
@@ -61,10 +59,11 @@ class SevpConfig:
     w: int
     b: int
     variant: SevpVariant = SevpVariant.REFERENCE
-    v2_mapping: V2Mapping = V2Mapping.ON_TS
     accumulate_q: bool = False
 
     def validate(self):
+        if not isinstance(self.variant, SevpVariant):
+            raise ValueError(f"variant must be a SevpVariant, got {self.variant!r}")
         if self.n < 1:
             raise ValueError("n >= 1")
         if self.w < 1:
@@ -208,9 +207,9 @@ def reduce_sym_band(A, cfg, groups=None):
 
     widths = schedule(cfg.n, cfg.n, cfg.w, cfg.b)
     state = _State(A, cfg)
-    v2_mapping = cfg.v2_mapping if cfg.variant is SevpVariant.V2 else None
     lookahead = cfg.variant is not SevpVariant.REFERENCE
-    phases = plan(lambda k: _stream(state, k, widths[k]), list(widths), lookahead, v2_mapping)
+    v2 = cfg.variant is SevpVariant.V2
+    phases = plan(lambda k: _stream(state, k, widths[k]), list(widths), lookahead, v2)
     flops = run(phases, groups)
     band = _finalize(state.A, cfg.n, cfg.w)
     return SevpResult(band=band, q=state.Q, flops=flops, iterations=len(widths))

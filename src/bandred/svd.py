@@ -37,8 +37,8 @@ over identical task bodies:
                 cuts the Simultaneous stream, where they spill into D, so D
                 is cut 2x2: D21 and D12 run ahead, D11 and D22 on the
                 parallel group. V2 first runs a phase that updates B1 and
-                C1 (on the sequential group under V2Mapping.ON_TS) while
-                the parallel group forms the Z/X products.
+                C1 on the sequential group while the parallel group forms
+                the Z/X products.
 
 Serialized, V1 is bitwise equal to Reference and V2 to Simultaneous (the
 splits only repartition split-stable kernels); Reference and Simultaneous
@@ -54,9 +54,7 @@ from enum import Enum
 import numpy as np
 
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
-from .lookahead import (
-    Update, V2Mapping, apply_task, check_variant, panel_task, plan, run, schedule,
-)
+from .lookahead import Update, apply_task, check_variant, panel_task, plan, run, schedule
 from .runtime import Span, Task
 
 
@@ -80,9 +78,12 @@ class SvdConfig:
     b: int
     form: SvdForm = SvdForm.BAND
     variant: SvdVariant = SvdVariant.REFERENCE
-    v2_mapping: V2Mapping = V2Mapping.ON_TS
 
     def validate(self):
+        if not isinstance(self.form, SvdForm):
+            raise ValueError(f"form must be an SvdForm, got {self.form!r}")
+        if not isinstance(self.variant, SvdVariant):
+            raise ValueError(f"variant must be an SvdVariant, got {self.variant!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m, n >= 1")
         if self.w < 1:
@@ -253,10 +254,8 @@ def reduce_band_svd(A, cfg, groups=None):
     widths = schedule(cfg.m, cfg.n, state.s, cfg.b)
     fused = cfg.variant in (SvdVariant.SIMULTANEOUS, SvdVariant.V2)
     lookahead = cfg.variant in (SvdVariant.V1, SvdVariant.V2)
-    v2_mapping = cfg.v2_mapping if cfg.variant is SvdVariant.V2 else None
-    phases = plan(
-        lambda k: _band_stream(state, k, widths[k], fused), list(widths), lookahead, v2_mapping
-    )
+    v2 = cfg.variant is SvdVariant.V2
+    phases = plan(lambda k: _band_stream(state, k, widths[k], fused), list(widths), lookahead, v2)
     flops = run(phases, groups)
     i = np.arange(cfg.m)[:, None]
     jj = np.arange(cfg.n)[None, :]

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import inspect
 
+import pytest
+
 import bandred
-from bandred import lookahead
+from bandred import SevpConfig, SevpVariant, SvdConfig, SvdVariant, lookahead
 
 EXPORTS = [
     "FLOPS", "FlopCounter",
@@ -15,7 +17,7 @@ EXPORTS = [
     "apply_wy_left", "apply_wy_right", "matmul",
     "ExecGroups", "PhasePlan", "Task", "Span", "Workers", "EventTrace",
     "WriteOverlapError", "run_phase",
-    "SevpConfig", "SevpResult", "SevpVariant", "V2Mapping", "reduce_sym_band",
+    "SevpConfig", "SevpResult", "SevpVariant", "reduce_sym_band",
     "sevp_nominal_flops",
     "SvdConfig", "SvdResult", "SvdForm", "SvdVariant", "reduce_tri_band",
     "reduce_band_svd", "svd_nominal_flops",
@@ -32,16 +34,14 @@ SIGNATURES = {
     bandred.SevpConfig: (
         "(n: int, w: int, b: int, "
         "variant: bandred.sevp.SevpVariant = <SevpVariant.REFERENCE: 'reference'>, "
-        "v2_mapping: bandred.lookahead.V2Mapping = <V2Mapping.ON_TS: 'on_ts'>, "
         "accumulate_q: bool = False) -> None"
     ),
     bandred.SvdConfig: (
         "(m: int, n: int, w: int, b: int, "
         "form: bandred.svd.SvdForm = <SvdForm.BAND: 'band'>, "
-        "variant: bandred.svd.SvdVariant = <SvdVariant.REFERENCE: 'reference'>, "
-        "v2_mapping: bandred.lookahead.V2Mapping = <V2Mapping.ON_TS: 'on_ts'>) -> None"
+        "variant: bandred.svd.SvdVariant = <SvdVariant.REFERENCE: 'reference'>) -> None"
     ),
-    lookahead.plan: "(stream, ks, lookahead=False, v2_mapping=None)",
+    lookahead.plan: "(stream, ks, lookahead=False, v2=False)",
 }
 
 
@@ -50,3 +50,39 @@ def test_public_api_is_pinned():
     assert all(hasattr(bandred, name) for name in EXPORTS)
     got = {obj: str(inspect.signature(obj)) for obj in SIGNATURES}
     assert got == SIGNATURES
+
+
+# A config's enum fields each take a member of the config's own enum. A
+# string or another config's member would otherwise run the wrong reduction
+# silently (form="band" runs the tri-band stream, then zeroes it as a band)
+# or fail mid-run.
+WRONG_ENUMS = [
+    (SvdConfig(40, 30, 6, 3, form="band"), "form"),
+    (SvdConfig(40, 30, 6, 3, form="triband"), "form"),
+    (SvdConfig(40, 30, 6, 3, variant=SevpVariant.V1), "variant"),
+    (SvdConfig(40, 30, 6, 3, variant="v1"), "variant"),
+    (SevpConfig(40, 6, 3, variant=SvdVariant.SIMULTANEOUS), "variant"),
+    (SevpConfig(40, 6, 3, variant="v1"), "variant"),
+]
+
+
+@pytest.mark.parametrize("cfg, field", WRONG_ENUMS, ids=[
+    "svd-form-str-band", "svd-form-str-triband", "svd-variant-sevp-v1", "svd-variant-str",
+    "sevp-variant-svd-simultaneous", "sevp-variant-str",
+])
+def test_a_config_takes_only_its_own_enums(monkeypatch, cfg, field):
+    """validate and the reduction raise ValueError naming the field, and no
+    task runs."""
+
+    def no_phase(plan, groups):
+        raise AssertionError(f"{plan.label} ran")
+
+    monkeypatch.setattr(lookahead, "run_phase", no_phase)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        cfg.validate()
+    if isinstance(cfg, SevpConfig):
+        reduce, A = bandred.reduce_sym_band, bandred.gen_sym(cfg.n, 0)
+    else:
+        reduce, A = bandred.reduce_band_svd, bandred.gen_general(cfg.m, cfg.n, 0)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        reduce(A, cfg)

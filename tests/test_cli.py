@@ -287,6 +287,18 @@ def test_an_option_of_another_mode_is_a_config_error(tmp_path, args, option):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("option, value", [("--n", "99"), ("--m", "5"), ("--seed", "3")])
+def test_an_option_the_loaded_matrix_overrides_is_a_config_error(tmp_path, option, value):
+    """The loaded matrix fixes the shape and needs no seed: an option that
+    sets them is refused by name, before the dump."""
+    path, dump = tmp_path / "m.txt", tmp_path / "d.txt"
+    save_matrix(path, gen_general(30, 20, 0))
+    proc = _run("--algo", "svd-ref", "--load", str(path), option, value, "--dump", str(dump))
+    _config_error(proc)
+    assert f"error: {option} does not apply with --load" in proc.stderr
+    assert not dump.exists()
+
+
 def test_dump_waits_for_every_config_check(tmp_path):
     """Each of these is rejected by the library (ExecGroups, the input
     generator or a config's validate), before the dump and the header."""

@@ -24,7 +24,6 @@ from bandred import (
     SvdConfig,
     SvdForm,
     SvdVariant,
-    V2Mapping,
     lookahead,
     reduce_band_svd,
     reduce_sym_band,
@@ -36,50 +35,45 @@ SVD_MN = ((1, 1), (3, 2), (9, 9), (13, 7), (17, 17), (22, 15), (29, 23), (7, 13)
 WB = [(w, b) for w in range(1, 7) for b in range(1, w + 1)]
 
 SCHEDULES = [
-    ("sevp", "reference", None),
-    ("sevp", "v1", None),
-    ("sevp", "v2", "on_ts"),
-    ("sevp", "v2", "on_all"),
-    ("band", "reference", None),
-    ("band", "simultaneous", None),
-    ("band", "v1", None),
-    ("band", "v2", "on_ts"),
-    ("band", "v2", "on_all"),
-    ("triband", "reference", None),
+    ("sevp", "reference"),
+    ("sevp", "v1"),
+    ("sevp", "v2"),
+    ("band", "reference"),
+    ("band", "simultaneous"),
+    ("band", "v1"),
+    ("band", "v2"),
+    ("triband", "reference"),
 ]
 
 # sha1 of the plans the hand-written V1/V2 planners and Reference loops
 # built over the grid above, before the one planner replaced them.
 PINNED = {
-    ("sevp", "reference", None): "2ea541e04a52189ddfd5feab397e6f8d149c879b",
-    ("sevp", "v1", None): "89f4d707a21bbcc91cca13a930750bd7e90456e5",
-    ("sevp", "v2", "on_ts"): "4f19dafd30ef7a7e0b6c155f01daaab5633fc623",
-    ("sevp", "v2", "on_all"): "6eac20949f92109d732374adc8e9d4def9a109fc",
-    ("band", "reference", None): "59965ffe1dc91a2f4346af05d8d6a09736338ded",
-    ("band", "simultaneous", None): "94451dd0fcc2f375bdcd872a762548a162b42406",
-    ("band", "v1", None): "86550e6086f78b55bc0993ce1459b070c6c08597",
+    ("sevp", "reference"): "2ea541e04a52189ddfd5feab397e6f8d149c879b",
+    ("sevp", "v1"): "89f4d707a21bbcc91cca13a930750bd7e90456e5",
+    ("sevp", "v2"): "4f19dafd30ef7a7e0b6c155f01daaab5633fc623",
+    ("band", "reference"): "59965ffe1dc91a2f4346af05d8d6a09736338ded",
+    ("band", "simultaneous"): "94451dd0fcc2f375bdcd872a762548a162b42406",
+    ("band", "v1"): "86550e6086f78b55bc0993ce1459b070c6c08597",
     # Band V2 re-pinned when placement moved from cut lines to the next
     # panels' reads: each changed phase differs only in D11, the top-left
     # cell of D, which no next panel reads and which moved from the
     # sequential list to the parallel one.
-    ("band", "v2", "on_ts"): "6bde7ed27e05faac0fd8c7ccca89e7214601253b",
-    ("band", "v2", "on_all"): "fd4c59b945ab83281f9010ef7f7da80fa290e071",
-    ("triband", "reference", None): "08fa02940fb1e4723e920f3be16af102c909ff24",
+    ("band", "v2"): "6bde7ed27e05faac0fd8c7ccca89e7214601253b",
+    ("triband", "reference"): "08fa02940fb1e4723e920f3be16af102c909ff24",
 }
 
 
-def _configs(form, variant, mapping):
-    mapping = V2Mapping(mapping or "on_ts")
+def _configs(form, variant):
     for w, b in WB:
         if variant == "v1" and 2 * b > w:
             continue
         if form == "sevp":
             for n in SEVP_N:
                 for aq in (False, True):
-                    yield SevpConfig(n, w, b, SevpVariant(variant), mapping, aq)
+                    yield SevpConfig(n, w, b, SevpVariant(variant), aq)
         else:
             for m, n in SVD_MN:
-                yield SvdConfig(m, n, w, b, SvdForm(form), SvdVariant(variant), mapping)
+                yield SvdConfig(m, n, w, b, SvdForm(form), SvdVariant(variant))
 
 
 @pytest.fixture
@@ -123,29 +117,33 @@ def _plan_digest(plans_of_configs):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: "-".join(filter(None, s)))
+@pytest.mark.parametrize("schedule", SCHEDULES, ids="-".join)
 def test_plans_match_the_pinned_digest(planned, schedule):
     got = _plan_digest(planned(cfg) for cfg in _configs(*schedule))
     assert got == PINNED[schedule]
 
 
 # sha1 of the look-ahead plans at the benchmark's sizes, which the grid
-# above does not reach: sevp-lookahead's V1 and V2 and svd-tall's shape.
+# above does not reach: sevp-lookahead's V1 and V2, and V1 and V2 (at
+# sevp-lookahead's b) on svd-tall's shape.
 BENCH_PINNED = [
     (SevpConfig(384, 32, 16, SevpVariant.V1), "df915b18f72d6034ed87d1579eb92d55904dc89d"),
-    (
-        SevpConfig(384, 32, 24, SevpVariant.V2, V2Mapping.ON_TS),
-        "4d419a38d2359abc880fd9fbf3b4b498930c9b67",
-    ),
+    (SevpConfig(384, 32, 24, SevpVariant.V2), "4d419a38d2359abc880fd9fbf3b4b498930c9b67"),
     (
         SvdConfig(512, 256, 32, 16, SvdForm.BAND, SvdVariant.V1),
         "2d02cec0c6396ffda2f87e8220d25b7eb9234277",
+    ),
+    (
+        SvdConfig(512, 256, 32, 24, SvdForm.BAND, SvdVariant.V2),
+        "f26cbe04744c45c782e27875a2b40d1ca2b41df2",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "cfg, digest", BENCH_PINNED, ids=["sevp-v1-384", "sevp-v2-384", "band-v1-512x256"]
+    "cfg, digest",
+    BENCH_PINNED,
+    ids=["sevp-v1-384", "sevp-v2-384", "band-v1-512x256", "band-v2-512x256"],
 )
 def test_benchmark_size_plans_match_the_pinned_digest(planned, cfg, digest):
     assert _plan_digest([planned(cfg)]) == digest
@@ -184,7 +182,7 @@ def _reads_from(panel, task):
     return any(r.intersects(w) for r in panel.reads for w in task.writes)
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: "-".join(filter(None, s)))
+@pytest.mark.parametrize("schedule", SCHEDULES, ids="-".join)
 def test_planned_phases_are_legal_and_cuts_tile_their_boxes(planned, updates, schedule):
     """On every plan of the grid: no phase has a cross-group hazard; the
     pieces of each update tile its box (same union, pairwise disjoint);

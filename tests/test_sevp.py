@@ -7,7 +7,6 @@ from bandred import (
     ExecGroups,
     SevpConfig,
     SevpVariant,
-    V2Mapping,
     band_check,
     gen_sym,
     orth_residual,
@@ -156,19 +155,6 @@ def test_v2_threaded_is_bitwise_reference():
     with ExecGroups(2, 1) as groups:
         v2 = reduce_sym_band(A, _cfg(36, 6, 4, SevpVariant.V2), groups)
     assert np.array_equal(v2.band, ref.band)
-
-
-def test_v2_mapping_choice_does_not_change_bits():
-    A = _sym(32, 10)
-    outs = []
-    for mapping in (V2Mapping.ON_TS, V2Mapping.ON_ALL):
-        with ExecGroups(2, 1) as groups:
-            outs.append(
-                reduce_sym_band(
-                    A, _cfg(32, 6, 4, SevpVariant.V2, v2_mapping=mapping), groups
-                ).band
-            )
-    assert np.array_equal(outs[0], outs[1])
 
 
 def test_v2_with_b_equal_w_leads_with_b_columns(captured_plans):
