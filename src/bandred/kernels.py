@@ -20,12 +20,11 @@ max(SCRATCH, rows of C) entries for any inner length. np.add.reduce, einsum,
 @, np.dot and BLAS gemm are deliberately not used: they sum pairwise or in
 shape-dependent blocks and do not have this stability.
 
-Tiles only split work among workers. With one worker (workers None or of
-count 1) each kernel sums its whole output in one sweep, so an inner index
-costs one np.add per column tile of the whole output rather than one per
-ROW_TILE tile; with two or more, the output is cut into ROW_TILE/COL_TILE
-tiles for the pool to share. SCRATCH bounds the cache footprint either way,
-and the bits depend on neither.
+Every kernel shares its output among workers by one rule, _share: one
+worker (workers None or of count 1) sums the whole output in one sweep;
+two or more share an output of more than SHARE_ABOVE rows or columns in
+one contiguous piece each, cut at near-equal cost. The bits depend on
+neither, nor on SCRATCH. apply_wy_right is apply_wy_left run on A^T.
 
 The panels, build_w, symm_lower, syr2k_lower, and every product of a
 symmetric reduction's tasks (the X products, and the WY applications to
@@ -36,14 +35,13 @@ inner index. Every product but the rank-2k update is still a matmul call,
 which checks the shapes and charges the flops, so the "matmul" flop class
 stays 2mkn per matmul call. Three entry points:
 - bandred_product runs matmul's whole step (beta, alpha, sum) over any
-  strides. _COMPILED_SUM hands it the row tiles of the panels' inner-block
-  updates and of the SEVP X products and WY applications
-  (apply_wy_left/apply_wy_right called with _sum=_COMPILED_SUM), reading
+  strides. _COMPILED_SUM hands it the panels' inner-block updates and the
+  SEVP X products and WY applications (apply_wy_left/apply_wy_right
+  called with _sum=_COMPILED_SUM), one call per worker's rows, reading
   the addresses off the views; _At hands it the small products of a panel
   column and of build_w, at addresses the caller works out from its
   arrays' bases;
-- bandred_symm_lower sums symm_lower straight from A2's lower triangle
-  (_SymmLower);
+- bandred_symm_lower sums symm_lower from A2's lower triangle (_SymmLower);
 - bandred_syr2k_lower runs syr2k_lower's whole column range, or one
   worker's piece of it per call when workers share it (_syr2k). It
   charges "syr2k" once, never "matmul".
@@ -61,8 +59,8 @@ not aligned float64. matmul's default step, and with it apply_wy_left and
 apply_wy_right unless told otherwise, stays on _numpy_step, so the SVD
 reductions' applications and Z/X products sum in NumPy.
 
-The vector norm (np.linalg.norm) appears only inside house_gen, where every
-schedule makes the identical call on identical data.
+The vector norm (sqrt(x.dot(x)), np.linalg.norm's expression) appears only
+in house_gen, where every schedule makes the identical call on identical data.
 """
 
 import ctypes
@@ -82,23 +80,20 @@ import numpy as np
 
 from .flops import FLOPS
 
-# Tile edges for sharing an output among two or more workers (see _split);
-# one worker sums the whole output at once. syr2k_lower shares its columns
-# only when it has more than SYM_STRIP of them. No entry's bits depend on
-# any of them.
-ROW_TILE = 128
-COL_TILE = 128
-SYM_STRIP = 64
+# Two or more workers share a kernel's output only when it has more rows
+# (or columns) than this (see _share); below it one worker sums it all. No
+# entry's bits depend on it.
+SHARE_ABOVE = 128
 # Scratch of one _accumulate call, in float64 entries (128 KB), or one
 # column of C where that is taller. Fixed: how a sum is computed depends
 # only on operand shapes, never on workers or workload.
 SCRATCH = 16384
 # Columns (qr_panel) or rows (lq_panel) factored before the panel's next
-# inner block is updated at once. Unlike the tiles, it sets the bits.
+# inner block is updated at once. Unlike SHARE_ABOVE, it sets the bits.
 PANEL_INNER_B = 16
 # Blue's thresholds for an unscaled 2-norm: inside (RTMIN, RTMAX) no square
-# of the sum can have underflowed or overflowed, so np.linalg.norm is
-# accurate as it stands; outside, house_gen rescales by max|x| first.
+# of the sum can have underflowed or overflowed, so the norm is accurate as
+# it stands; outside, house_gen rescales by max|x| first.
 _F64 = np.finfo(np.float64)
 RTMIN = float(np.sqrt(_F64.tiny / _F64.eps))
 RTMAX = float(np.sqrt(_F64.max) * _F64.eps)
@@ -110,16 +105,16 @@ def _as2d(a, name):
     return a
 
 
-def _slots(depth, rows, cols, C):
-    """Scratch stack of depth rows x cols slots, each laid out like C."""
-    if C.strides[0] <= C.strides[1]:
-        return np.empty((depth, cols, rows)).transpose(0, 2, 1)
-    return np.empty((depth, rows, cols))
+def _slots(depth, rows, cols):
+    """Scratch stack of depth rows x cols slots, each laid out by columns."""
+    return np.empty((depth, cols, rows)).transpose(0, 2, 1)
 
 
 def _accumulate(A, B, C):
     """C += A*B: per entry, one rounded product and one rounded sum for each
-    inner index, summed in strict inner order. A already carries alpha.
+    inner index, summed in strict inner order. A already carries alpha. A C
+    laid out by rows is summed as C^T = B^T A^T: the same products in the
+    same order, down C's unit stride.
 
     C is cut into column tiles of at most SCRATCH entries (one column at
     least, for C taller than SCRATCH). For each chunk of inner indices, one
@@ -132,11 +127,13 @@ def _accumulate(A, B, C):
     np.add.reduce, einsum, @ and np.dot are never used: they sum pairwise or
     in BLAS-chosen blocks, so their bits depend on the operand shapes.
     """
+    if C.strides[0] > C.strides[1]:
+        A, B, C = B.T, A.T, C.T
     rows, k = A.shape
     n = C.shape[1]
     cols = min(n, max(1, SCRATCH // rows))
     kc = min(k, max(1, SCRATCH // (rows * cols)))
-    stack = _slots(kc, rows, cols, C)
+    stack = _slots(kc, rows, cols)
     for c0 in range(0, n, cols):
         c1 = min(c0 + cols, n)
         Ct = C[:, c0:c1]
@@ -362,7 +359,7 @@ def _product(fn, alpha, A, B, beta, C):
 
 class _CompiledSum:
     """The compiled _SUM_SOURCE, built and loaded on first use. Called, it is
-    a matmul step that hands row tiles to bandred_product; lib_for hands the
+    a matmul step that hands C's rows to bandred_product; lib_for hands the
     entry points to build_w, symm_lower, syr2k_lower and the panels. If the
     build fails it warns once and every caller takes its NumPy path; so do
     operands that are not aligned float64 and outputs that are not
@@ -410,25 +407,35 @@ class _CompiledSum:
         if lib is None:
             _numpy_step(alpha, A, B, beta, C, workers)
         else:
-            _split(workers, C.shape[0], ROW_TILE,
+            _share(workers, C.shape[0],
                    lambda r0, r1: _product(lib.product, alpha, A[r0:r1], B, beta, C[r0:r1]))
 
 
 _COMPILED_SUM = _CompiledSum()
 
 
-def _split(workers, size, tile, run):
+def _share(workers, size, run, cost=None):
     """run(lo, hi) over [0, size): once over the whole range unless two or
-    more workers share it, then in tiles of `tile` handed to workers.map."""
-    if workers is None or workers.count == 1 or size <= tile:
+    more workers share more than SHARE_ABOVE items. Then workers.map gets
+    one contiguous piece per worker, never an empty one, each cut at the
+    item boundary nearest its even share of the cost. cost lists each
+    item's cost in order; by default every item costs one."""
+    if workers is None or workers.count == 1 or size <= SHARE_ABOVE:
         run(0, size)
-    else:
-        workers.map(lambda t: run(*t), [(lo, min(lo + tile, size)) for lo in range(0, size, tile)])
+        return
+    count = min(workers.count, size)
+    upto = np.cumsum(np.ones(size) if cost is None else cost)  # cost of items 0..i
+    bounds = [0]
+    for q in range(1, count):
+        cut = int(np.abs(upto - upto[-1] * q / count).argmin()) + 1
+        bounds.append(min(max(cut, bounds[-1] + 1), size - count + q))
+    bounds.append(size)
+    workers.map(lambda piece: run(*piece), list(zip(bounds, bounds[1:])))
 
 
 def _numpy_step(alpha, A, B, beta, C, workers):
     """matmul's step in NumPy: C scaled by beta, alpha folded into A, and
-    _accumulate over C's row tiles."""
+    _accumulate over C's rows."""
     if beta == 0.0:
         C[...] = 0.0
     elif beta != 1.0:
@@ -437,13 +444,13 @@ def _numpy_step(alpha, A, B, beta, C, workers):
         return
     if alpha != 1.0:
         A = A * alpha  # one rounding per entry, as if folded in at each step
-    _split(workers, C.shape[0], ROW_TILE, lambda r0, r1: _accumulate(A[r0:r1], B, C[r0:r1]))
+    _share(workers, C.shape[0], lambda r0, r1: _accumulate(A[r0:r1], B, C[r0:r1]))
 
 
 class _SymmLower:
     """matmul's step for symm_lower: out := sym(A2) * W (alpha 1, beta 0)
-    read straight from A2's lower triangle; two or more workers share
-    ROW_TILE-row tiles of out."""
+    read straight from A2's lower triangle; two or more workers share its
+    rows (_share)."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -458,7 +465,7 @@ class _SymmLower:
             self.fn(r0, r1, j, n, A2.ctypes.data, ar >> 3, ac >> 3, W.ctypes.data, wr >> 3,
                     wc >> 3, o.ctypes.data, o.strides[1] >> 3, s.ctypes.data)
 
-        _split(workers, j, ROW_TILE, run)
+        _share(workers, j, run)
         if o is not out:
             out[...] = o
 
@@ -469,7 +476,7 @@ def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_numpy_step):
     per inner index).
 
     Pass transposed views (A.T / B.T) for transposed operands. Two or more
-    workers share disjoint row tiles of C; one worker sums all of C in one
+    workers share C's rows (_share); one worker sums all of C in one
     sweep. Results are bitwise identical for any worker count. matmul checks
     the shapes, charges the flops and runs _sum(alpha, A, B, beta, C,
     workers), the step: _numpy_step, or in compiled C _COMPILED_SUM (the
@@ -494,23 +501,27 @@ def house_gen(x):
     v[0] = 1. Sign convention: beta = -sign(x[0]) * ||x||, with x[0] = 0
     treated as positive -- applied unconditionally, so a vector with zero
     tail still gets its sign flipped (tau = 2). The all-zero vector yields
-    tau = 0, beta = 0 (identity reflector).
+    tau = 0, beta = 0 (identity reflector). The norm is sqrt(x.dot(x)), with
+    np.linalg.norm's bits; a sum of squares that overflows is rescaled, not
+    warned of.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, order="C")  # a contiguous copy, as norm's dot takes it
     if x.ndim != 1 or x.size < 1:
         raise ValueError("house_gen needs a vector of length >= 1")
     L = x.size
     FLOPS.add("house", 3 * L)
     v = np.zeros(L)
     v[0] = 1.0
-    nrm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):
+        nrm = float(np.sqrt(x.dot(x)))
     if not RTMIN < nrm < RTMAX:
-        # The sum of squares may have under- or overflowed (numpy warns of
-        # an overflow): take the norm of x / max|x| instead. Unit-scale
-        # vectors never get here, so their bits do not change.
+        # The sum of squares may have under- or overflowed: take the norm of
+        # x / max|x| instead. Unit-scale vectors never get here, so their
+        # bits do not change.
         s = float(np.max(np.abs(x)))
         if s > 0.0:
-            nrm = s * float(np.linalg.norm(x / s))
+            y = x / s
+            nrm = s * float(np.sqrt(y.dot(y)))
     if nrm == 0.0:
         return v, 0.0, 0.0
     sign = -1.0 if x[0] < 0 else 1.0
@@ -670,55 +681,48 @@ def lq_panel(P):
     return PanelFactors(y=Y, t=T, w=W, r_or_l=L, tau=tau)
 
 
-def apply_wy_left(A, factors, workers=None, *, _sum=_numpy_step):
-    """A := A + Y*(W^T*A), the left application of Q^T = (I + W*Y^T)^T.
+def _apply_wy(A, factors, workers, _sum):
+    """A := A + Y*(W^T*A), both products summed through _sum, matmul's step.
 
     Each column of A is updated on its own, so the result is bitwise
-    invariant under any column split of A; two or more workers share
-    COL_TILE-column tiles, one worker runs the whole A as one pair of matmuls.
-    Both matmuls sum through _sum, matmul's step.
+    invariant under any column split of A; two or more workers share the
+    columns (_share), one worker runs the whole A as one pair of matmuls.
+    W^T*A is laid out like A (by rows when A is, as the transpose of a
+    column-major array is), so both products' outputs share one layout.
     """
-    _as2d(A, "A")
-    j, b = factors.y.shape
-    if A.shape[0] != j:
-        raise ValueError(f"apply_wy_left: A has {A.shape[0]} rows, factors have j={j}")
-    c = A.shape[1]
-    if c == 0 or j == 0:
-        return A
+    if A.size == 0:
+        return
+    b = factors.y.shape[1]
+    order = "C" if A.strides[0] > A.strides[1] else "F"
 
-    def run_tile(c0, c1):
+    def run(c0, c1):
         blk = A[:, c0:c1]
-        t1 = np.zeros((b, c1 - c0), order="F")
+        t1 = np.zeros((b, c1 - c0), order=order)
         matmul(1.0, factors.w.T, blk, 0.0, t1, _sum=_sum)
         matmul(1.0, factors.y, t1, 1.0, blk, _sum=_sum)
 
-    _split(workers, c, COL_TILE, run_tile)
+    _share(workers, A.shape[1], run)
+
+
+def apply_wy_left(A, factors, workers=None, *, _sum=_numpy_step):
+    """A := A + Y*(W^T*A), the left application of Q^T = (I + W*Y^T)^T,
+    shared among workers by A's columns (see _apply_wy)."""
+    j = factors.y.shape[0]
+    if _as2d(A, "A").shape[0] != j:
+        raise ValueError(f"apply_wy_left: A has {A.shape[0]} rows, factors have j={j}")
+    _apply_wy(A, factors, workers, _sum)
     return A
 
 
 def apply_wy_right(A, factors, workers=None, *, _sum=_numpy_step):
-    """A := A + (A*W)*Y^T, the right application of I + W*Y^T.
-
-    Each row of A is updated on its own, so the result is bitwise invariant
-    under any row split of A; two or more workers share ROW_TILE-row tiles,
-    one worker runs the whole A as one pair of matmuls. Both matmuls sum
-    through _sum, matmul's step.
-    """
-    _as2d(A, "A")
-    j, b = factors.y.shape
-    if A.shape[1] != j:
+    """A := A + (A*W)*Y^T, the right application of I + W*Y^T, run as the
+    left one on A^T, A^T := A^T + Y*(W^T*A^T): each entry sums the same
+    products (IEEE products commute) in the same inner order, so the bits
+    and flops are those of (A*W)*Y^T. Workers share A's rows."""
+    j = factors.y.shape[0]
+    if _as2d(A, "A").shape[1] != j:
         raise ValueError(f"apply_wy_right: A has {A.shape[1]} cols, factors have j={j}")
-    r = A.shape[0]
-    if r == 0 or j == 0:
-        return A
-
-    def run_tile(r0, r1):
-        blk = A[r0:r1, :]
-        t1 = np.zeros((r1 - r0, b), order="F")
-        matmul(1.0, blk, factors.w, 0.0, t1, _sum=_sum)
-        matmul(1.0, t1, factors.y.T, 1.0, blk, _sum=_sum)
-
-    _split(workers, r, ROW_TILE, run_tile)
+    _apply_wy(A.T, factors, workers, _sum)
     return A
 
 
@@ -728,7 +732,7 @@ def symm_lower(A2, W, out, workers=None):
     Each entry of out is one sequential sum over the whole inner range, as
     one matmul over the full symmetric operand would give. The compiled sum
     reads that operand straight from A2's lower triangle; two or more
-    workers share ROW_TILE-row tiles of out. Without it, the operand is
+    workers share out's rows (_share). Without it, the operand is
     assembled as a j x j transient and summed by matmul. The accumulator
     starts at +0.0, and a rounded sum is -0.0 only when both terms are, so
     a zero's sign in A2 never reaches out.
@@ -755,16 +759,6 @@ def _syr2k(fn, A2, X3, Y, c0, c1):
        Y.ctypes.data, yr >> 3, yc >> 3)
 
 
-def _syr2k_pieces(j, c0, c1, count):
-    """Columns [c0, c1) of a j x j lower triangle cut into count runs of
-    near-equal lower entries (column c holds j - c), as (lo, hi) offsets
-    from c0: each cut lies at the column boundary nearest its share."""
-    before = np.concatenate(([0], np.cumsum(np.arange(j - c0, j - c1, -1))))
-    cuts = [int(np.abs(before - before[-1] * q / count).argmin()) for q in range(1, count)]
-    bounds = [0, *cuts, c1 - c0]
-    return list(zip(bounds, bounds[1:]))
-
-
 def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     """A2[:, c0:c1] += X3*Y^T + Y*X3^T, lower triangle only, exactly.
 
@@ -772,10 +766,10 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     Y[r, p]*X3[c, p] for p ascending: one chain of inner length 2k, in an
     order that no column split of the range changes. The compiled sum runs
     the whole range in one call (bandred_syr2k_lower); two or more workers
-    share a range of more than SYM_STRIP columns in one piece each, the
-    pieces near-equal in lower entries (_syr2k_pieces), one call per piece.
-    Without it, each column sums as two _numpy_step calls. Either way the
-    whole update is charged once to "syr2k", 4k per lower entry of the range.
+    share its columns (_share), one call per piece, the pieces near-equal in
+    lower entries (column c holds j - c). Without it, each column sums as
+    two _numpy_step calls. Either way the whole update is charged once to
+    "syr2k", 4k per lower entry of the range.
     """
     _as2d(A2, "A2"), _as2d(X3, "X3"), _as2d(Y, "Y")
     j = A2.shape[0]
@@ -797,8 +791,5 @@ def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
     else:
         def run(s0, s1):
             _syr2k(lib.syr2k_lower, A2, X3, Y, c0 + s0, c0 + s1)
-    if workers is None or workers.count == 1 or c1 - c0 <= SYM_STRIP:
-        run(0, c1 - c0)
-    else:
-        workers.map(lambda piece: run(*piece), _syr2k_pieces(j, c0, c1, workers.count))
+    _share(workers, c1 - c0, run, cost=range(j - c0, j - c1, -1))
     return A2

@@ -4,9 +4,9 @@ Both reductions are one two-stage scheme: iteration k factors a QR panel
 (and, for the SVD, an LQ panel) and applies the factors to the rest of the
 matrix. This module holds what their iterations have in common: the
 schedule guard (schedule), the panel and apply task factories (panel_task,
-apply_task), the rule on b and w for the look-ahead variants
-(check_variant), the run loop (run), and the planner (plan) that turns
-per-iteration task streams into phases.
+apply_task), the size rules of both configs (check_sizes), the rule on b
+and w for the look-ahead variants (check_variant), the run loop (run), and
+the planner (plan) that turns per-iteration task streams into phases.
 
 A reduction hands the planner a stream per iteration: that iteration's
 tasks in Reference order. Panels are the stream's tasks whose reads equal
@@ -43,6 +43,7 @@ sequential list and <id-base>-rest (-rest1, -rest2, ...) on the parallel one.
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 from .flops import flop_scope
 from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
@@ -59,6 +60,16 @@ class Update:
 
     def whole(self):
         return self.make(self.rows, self.cols, "")
+
+
+def check_sizes(w, b, **dims):
+    """The size rules of both configs: the dims (n, and m), w and b are ints
+    (NumPy integers too, bools not), the dims at least 1, and 1 <= b <= w."""
+    for name, size in {**dims, "w": w, "b": b}.items():
+        if not isinstance(size, Integral) or isinstance(size, bool):
+            raise ValueError(f"{name} must be an int, got {size!r}")
+    if min(dims.values()) < 1 or not 1 <= b <= w:
+        raise ValueError(f"need {', '.join(dims)} >= 1 and 1 <= b <= w")
 
 
 def check_variant(variant, b, w):
@@ -126,7 +137,7 @@ def _is_product(item):
     return isinstance(item, Task) and all(s.target not in ("A", "Q") for s in item.writes)
 
 
-def _split(span, ends):
+def _intervals(span, ends):
     bounds = [span[0], *sorted({e for e in ends if span[0] < e < span[1]}), span[1]]
     return list(zip(bounds, bounds[1:]))
 
@@ -138,8 +149,8 @@ def _reads_any(task, others):
 def _place(update, reads):
     """update's pieces on the sequential list (the cells reads meet) and on
     the parallel list, each side whole when it takes every cell."""
-    rows = _split(update.rows, [r.rows[1] for r in reads])
-    cells = [(r, c) for c in _split(update.cols, [r.cols[1] for r in reads]) for r in rows]
+    rows = _intervals(update.rows, [r.rows[1] for r in reads])
+    cells = [(r, c) for c in _intervals(update.cols, [r.cols[1] for r in reads]) for r in rows]
     sides = ([], [])
     for cell in cells:
         sides[not any(Span("A", *cell).intersects(r) for r in reads)].append(cell)

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import kernels
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
-from .lookahead import Update, apply_task, check_variant, panel_task, plan, run, schedule
+from .lookahead import (Update, apply_task, check_sizes, check_variant, panel_task, plan, run,
+                        schedule)
 from .runtime import Span, Task
 
 
@@ -64,12 +65,7 @@ class SevpConfig:
     def validate(self):
         if not isinstance(self.variant, SevpVariant):
             raise ValueError(f"variant must be a SevpVariant, got {self.variant!r}")
-        if self.n < 1:
-            raise ValueError("n >= 1")
-        if self.w < 1:
-            raise ValueError("w >= 1")
-        if not (1 <= self.b <= self.w):
-            raise ValueError("need 1 <= b <= w")
+        check_sizes(self.w, self.b, n=self.n)
         check_variant(self.variant, self.b, self.w)
 
 
@@ -189,14 +185,16 @@ def _finalize(A, n, w):
 def reduce_sym_band(A, cfg, groups=None):
     """Reduce symmetric A to a symmetric band matrix of bandwidth cfg.w.
 
-    Only A's lower triangle is read; a NaN or Inf in it raises ValueError,
-    since it would spread through the whole band. Returns the band matrix
-    (full storage, off-band exactly zero), the accumulated orthogonal factor
-    when cfg.accumulate_q, and the flop counts of this run. If n <= w + 1 no
-    iteration runs: the band is the lower triangle mirrored and Q the
-    identity.
+    Only A's lower triangle is read; a NaN or Inf in it (which would spread
+    through the whole band) or a complex A raises ValueError. Returns the
+    band matrix (full storage, off-band exactly zero), the accumulated
+    orthogonal factor when cfg.accumulate_q, and the flop counts of this
+    run. If n <= w + 1 no iteration runs: the band is the lower triangle
+    mirrored and Q the identity.
     """
     cfg.validate()
+    if np.iscomplexobj(A):
+        raise ValueError("reduce_sym_band needs a real matrix")
     A = np.array(A, dtype=np.float64, order="F")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("reduce_sym_band needs a square matrix")

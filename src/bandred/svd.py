@@ -54,7 +54,8 @@ from enum import Enum
 import numpy as np
 
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
-from .lookahead import Update, apply_task, check_variant, panel_task, plan, run, schedule
+from .lookahead import (Update, apply_task, check_sizes, check_variant, panel_task, plan, run,
+                        schedule)
 from .runtime import Span, Task
 
 
@@ -84,12 +85,7 @@ class SvdConfig:
             raise ValueError(f"form must be an SvdForm, got {self.form!r}")
         if not isinstance(self.variant, SvdVariant):
             raise ValueError(f"variant must be an SvdVariant, got {self.variant!r}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m, n >= 1")
-        if self.w < 1:
-            raise ValueError("w >= 1")
-        if not (1 <= self.b <= self.w):
-            raise ValueError("need 1 <= b <= w")
+        check_sizes(self.w, self.b, m=self.m, n=self.n)
         if self.form == SvdForm.TRIANGULAR_BAND:
             if self.variant != SvdVariant.REFERENCE:
                 raise ValueError(
@@ -232,9 +228,12 @@ def reduce_band_svd(A, cfg, groups=None):
     (|i-j| <= w) or, with cfg.form = TRIANGULAR_BAND, upper triangular-band
     (0 <= j-i <= w). In band form with m <= w + 1 nothing is off-band, no
     iteration runs and the band is the input. m < n reduces the transpose
-    (see module docstring). A NaN or Inf anywhere in A raises ValueError.
+    (see module docstring). A NaN or Inf anywhere in A raises ValueError, and
+    so does a complex A.
     """
     cfg.validate()
+    if np.iscomplexobj(A):
+        raise ValueError("reduce_band_svd needs a real matrix")
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("reduce_band_svd needs a 2-D matrix")

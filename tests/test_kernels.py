@@ -34,10 +34,8 @@ from bandred import (
 )
 from bandred import kernels, sevp
 from bandred.kernels import (
-    COL_TILE,
-    ROW_TILE,
     SCRATCH,
-    SYM_STRIP,
+    SHARE_ABOVE,
     _numpy_step,
     symm_lower,
     syr2k_lower,
@@ -140,19 +138,20 @@ def _bits(a):
 @pytest.fixture(scope="module")
 def pool_workers():
     """Workers handles by count on one pool: 0 is no handle at all. Counts 0
-    and 1 sum a whole output in one sweep, 2 shares its tiles."""
+    and 1 sum a whole output in one sweep, 2 and 3 share it in one piece per
+    worker."""
     with ExecGroups(2, 0) as groups:
-        yield {0: None, 1: Workers(groups._pool, 1), 2: Workers(groups._pool, 2)}
+        yield {0: None, **{c: Workers(groups._pool, c) for c in (1, 2, 3)}}
 
 
-WORKER_COUNTS = st.sampled_from([0, 1, 2])
+WORKER_COUNTS = st.sampled_from([0, 1, 2, 3])
 
 
 def _edge_dims(draw):
     """(m, k, n) on or next to an inner-chunk or column-tile edge of the
-    scratch stack. Rows past ROW_TILE reach _accumulate whole on one worker,
-    and rows past SCRATCH take one column per tile."""
-    rows = draw(st.sampled_from([1, 2, 5, 16, 64, ROW_TILE, 200, 2 * ROW_TILE + 1, 352,
+    scratch stack. Rows past SHARE_ABOVE reach _accumulate whole on one
+    worker, and rows past SCRATCH take one column per tile."""
+    rows = draw(st.sampled_from([1, 2, 5, 16, 64, SHARE_ABOVE, 200, 2 * SHARE_ABOVE + 1, 352,
                                  SCRATCH + 1]))
     nudge = st.sampled_from([-1, 0, 1])
     cols = max(1, SCRATCH // rows)
@@ -208,7 +207,7 @@ def test_matmul_matches_loop_oracle_bitwise(case, pool_workers):
 
 @st.composite
 def _syr2k_case(draw):
-    j = draw(st.integers(1, 3 * SYM_STRIP + 5))
+    j = draw(st.integers(1, SHARE_ABOVE + 69))
     c0 = draw(st.integers(0, j))
     return dict(
         j=j,
@@ -239,8 +238,8 @@ def test_syr2k_lower_matches_per_column_oracle_bitwise(case, pool_workers):
 
 @st.composite
 def _symm_case(draw):
-    edge = draw(st.sampled_from([SYM_STRIP, ROW_TILE, 2 * ROW_TILE, 3 * ROW_TILE]))
-    j = draw(st.one_of(st.integers(1, 3 * ROW_TILE), st.sampled_from([edge - 1, edge + 1])))
+    edge = draw(st.sampled_from([SHARE_ABOVE // 2, SHARE_ABOVE, 2 * SHARE_ABOVE, 3 * SHARE_ABOVE]))
+    j = draw(st.one_of(st.integers(1, 3 * SHARE_ABOVE), st.sampled_from([edge - 1, edge + 1])))
     return dict(
         j=j,
         b=draw(st.integers(0, 24)),
@@ -286,7 +285,7 @@ def _wy_loop(side, A, f):
 
 @st.composite
 def _wy_case(draw):
-    edge = draw(st.sampled_from([COL_TILE, ROW_TILE, 2 * ROW_TILE, 352]))
+    edge = draw(st.sampled_from([SHARE_ABOVE, 2 * SHARE_ABOVE, 352]))
     return dict(
         side=draw(st.sampled_from(["left", "right"])),
         j=draw(st.integers(1, 200)),
@@ -302,9 +301,9 @@ def _wy_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_wy_case())
 def test_apply_wy_matches_loop_oracle_bitwise(case, pool_workers):
-    """One sweep (no handle, one worker) and shared tiles (two workers) give
-    the loop's bits on both sides, on the NumPy step and on the compiled
-    one; `other` is the tiled dimension of A."""
+    """One sweep (no handle, one worker) and shared pieces (two or three
+    workers) give the loop's bits on both sides, on the NumPy step and on
+    the compiled one; `other` is the shared dimension of A."""
     j, b, other = case["j"], case["b"], case["other"]
     rng = np.random.default_rng(case["seed"])
     la, ly, lw = case["layouts"]
@@ -359,9 +358,9 @@ def test_the_numpy_sum_scratch_stack_stays_within_its_bound(monkeypatch):
     stacks = []
     real = kernels._slots
 
-    def slots(depth, rows, cols, C):
+    def slots(depth, rows, cols):
         stacks.append((depth * rows * cols, rows))
-        return real(depth, rows, cols, C)
+        return real(depth, rows, cols)
 
     monkeypatch.setattr(kernels, "_slots", slots)
     for rows in (1, 5, 200, SCRATCH - 1, SCRATCH, SCRATCH + 1):
@@ -479,6 +478,20 @@ def test_house_random_residual():
 def test_house_length_one():
     v, tau, beta = house_gen(np.array([-3.0]))
     assert beta == 3.0 and tau == 2.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+def test_house_norm_has_numpys_bits_and_no_warning(scale):
+    """|beta| is np.linalg.norm(x) bit for bit, strided views included, and
+    past Blue's thresholds that of the rescaled vector; an overflowing sum
+    of squares raises no warning (tier-1 turns one into an error)."""
+    rng = np.random.default_rng(78)
+    for L in (1, 2, 7, 64, 351):
+        host = rng.standard_normal(2 * L) * scale
+        for x in (host[:L], host[::2]):
+            want = np.linalg.norm(x) if scale == 1.0 else np.max(np.abs(x)) * np.linalg.norm(
+                x / np.max(np.abs(x)))
+            assert abs(house_gen(x)[2]) == want
 
 
 # --- panels ----------------------------------------------------------------
@@ -700,22 +713,42 @@ def test_syr2k_lower_matches_dense_and_split():
     )
 
 
-@pytest.mark.parametrize("count", [2, 3, 4, 8])
-def test_syr2k_pieces_share_the_lower_entries_evenly(count):
-    """Over ranges wide enough to share, the pieces tile the range in order
-    and each lies within one column's entries (the range's first column,
-    the longest) of an even share; two pieces differ by at most that."""
-    for j in (SYM_STRIP + 1, 2 * SYM_STRIP, 352, 3 * SYM_STRIP + 5):
-        for c0 in range(0, j - SYM_STRIP, 7):
-            for c1 in range(c0 + SYM_STRIP + 1, j + 1, 11):
-                pieces = kernels._syr2k_pieces(j, c0, c1, count)
-                assert len(pieces) == count and pieces[0][0] == 0 and pieces[-1][1] == c1 - c0
-                assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
-                entries = [sum(j - c0 - c for c in range(lo, hi)) for lo, hi in pieces]
-                share = sum(entries) / count
-                assert all(abs(e - share) <= j - c0 for e in entries), (j, c0, c1, entries)
-                if count == 2:
-                    assert abs(entries[0] - entries[1]) <= j - c0, (j, c0, c1, entries)
+class _Recorder:
+    """A Workers stand-in of the given count: map records its items and
+    runs them in order on the calling thread."""
+
+    def __init__(self, count):
+        self.count, self.items = count, None
+
+    def map(self, fn, items):
+        self.items = list(items)
+        for it in self.items:
+            fn(it)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 8, 400])
+@pytest.mark.parametrize("kind", ["unit", "triangular"])
+def test_share_hands_each_worker_one_even_piece(kind, count):
+    """Up to SHARE_ABOVE items, or on one worker, the range runs whole and
+    nothing is mapped. Past it the pieces tile the range in order, one per
+    worker and none empty (count > size included), and each lies within
+    one item's cost (the largest) of an even share. Triangular costs are
+    syr2k_lower's lower entries per column, j - c over columns c0..c1."""
+    for size in (1, SHARE_ABOVE, SHARE_ABOVE + 1, 200, 257, 352):
+        for top in ((None,) if kind == "unit" else (size, size + 7, 2 * size + 3)):
+            cost = None if top is None else range(top, top - size, -1)
+            costs = np.ones(size) if cost is None else np.array(cost)
+            workers, ran = _Recorder(count), []
+            kernels._share(workers, size, lambda lo, hi: ran.append((lo, hi)), cost)
+            if count == 1 or size <= SHARE_ABOVE:
+                assert ran == [(0, size)] and workers.items is None
+                continue
+            assert ran == workers.items and len(ran) == min(count, size)
+            assert ran[0][0] == 0 and ran[-1][1] == size
+            assert all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
+            assert all(lo < hi for lo, hi in ran)
+            share = costs.sum() / len(ran)
+            assert all(abs(costs[lo:hi].sum() - share) <= costs.max() for lo, hi in ran)
 
 
 def _two_sided(A2, f):

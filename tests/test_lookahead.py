@@ -224,3 +224,43 @@ def test_planned_phases_are_legal_and_cuts_tile_their_boxes(planned, updates, sc
             tiled += len(boxes) > 1
     assert tiled > 0 or schedule[1] in ("reference", "simultaneous")
     assert placed > 0 or schedule[1] in ("reference", "simultaneous")
+
+
+def _static_plans(form, variant, m, n, w, b, accumulate_q):
+    """One schedule's phases, planned on a state built on no matrix, as
+    enumerate_tasks does: no reduction is called and no task runs."""
+    if form == "sevp":
+        state = bandred.sevp._State(None, SevpConfig(n, w, b, accumulate_q=accumulate_q))
+        widths = lookahead.schedule(n, n, w, b)
+    else:
+        state = bandred.svd._BandState(None, SvdConfig(m, n, w, b, SvdForm(form)))
+        widths = lookahead.schedule(m, n, state.s, b)
+
+    def stream(k):
+        if form == "sevp":
+            return bandred.sevp._stream(state, k, widths[k])
+        return bandred.svd._band_stream(state, k, widths[k], variant in ("simultaneous", "v2"))
+
+    return lookahead.plan(stream, list(widths), variant in ("v1", "v2"), variant == "v2")
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids="-".join)
+def test_a_static_sweep_finds_no_hazard_in_any_planned_phase(schedule):
+    """Every phase of the schedule over n <= 20, w <= 8, every b (V1 only
+    where 2b <= w), with and without Q (SEVP) or at m = n and m = n + 5
+    (SVD) passes run_phase's hazard check, without a task run. The
+    Reference schedules must plan no sequential list at all."""
+    form, variant = schedule
+    phases = 0
+    for n in range(1, 21):
+        for w in range(1, 9):
+            for b in range(1, w + 1):
+                if variant == "v1" and 2 * b > w:
+                    continue
+                for x in ((False, True) if form == "sevp" else (n, n + 5)):
+                    m, aq = (n, x) if form == "sevp" else (x, False)
+                    for plan in _static_plans(form, variant, m, n, w, b, aq):
+                        _check_hazards(plan)
+                        assert plan.seq_tasks == [] or variant in ("v1", "v2")
+                        phases += 1
+    assert phases > 1000

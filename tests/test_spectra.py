@@ -109,7 +109,6 @@ def _check(A, band, lower_bw, upper_bw, s, kind):
     assert spectrum_deviation(A / s, band / s, kind) <= 1e-11
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:V2 with 2b <= w:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(case=_case(square=True), data=st.data())
@@ -121,7 +120,6 @@ def test_sym_band_keeps_eigenvalues(case, data):
     _check(A, band, w, w, s, "eig")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:V2 with 2b <= w:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(case=_case(square=False), data=st.data())
@@ -133,7 +131,6 @@ def test_band_svd_keeps_singular_values(case, data):
     _check(A, res.band, res.lower_bw, res.upper_bw, s, "sv")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(case=_case(square=False))
 def test_tri_band_keeps_singular_values(case):
