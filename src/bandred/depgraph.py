@@ -39,7 +39,8 @@ Two granularities of truth live here:
 The task list is not a second copy of the reduction loop:
 ``enumerate_tasks`` plans the Reference schedule of ``reduce_band_svd``
 from the task streams the reductions run, and splits each update on the
-global ``b`` grid; the acceptance check compares it with a captured run.
+global ``b`` grid with the planner's splitter, ``lookahead._intervals``;
+the acceptance check compares it with a captured run.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import svd
-from .lookahead import plan, schedule
+from .lookahead import _intervals, plan, schedule
 from .svd import SvdForm
 
 __all__ = [
@@ -171,31 +172,18 @@ class OverlapReport:
     steady_iterations: list[int] = field(default_factory=list)
 
 
-def _grid_blocks(c0: int, c1: int, b: int) -> list[tuple[int, int, int]]:
-    """Split [c0, c1) at the global multiples of b: (block index, g0, g1)."""
-    out = []
-    j = c0 // b
-    while j * b < c1:
-        g0 = max(c0, j * b)
-        g1 = min(c1, (j + 1) * b)
-        if g0 < g1:
-            out.append((j, g0, g1))
-        j += 1
-    return out
-
-
 def _update_nodes(kind: TaskKind, it: int, panel: Range2D,
                   region_rows: tuple[int, int], region_cols: tuple[int, int],
                   b: int) -> list[TaskNode]:
+    """The update's tasks on the global ``b`` grid: its columns (left) or
+    rows (right) split at the multiples of ``b``, each block indexed by the
+    grid block it lies in."""
+    left = kind is TaskKind.LEFT_UPDATE
+    span = region_cols if left else region_rows
     out = []
-    if kind is TaskKind.LEFT_UPDATE:
-        for j, g0, g1 in _grid_blocks(*region_cols, b):
-            own = (region_rows, (g0, g1))
-            out.append(TaskNode(kind, it, j, (panel, own), (own,)))
-    else:
-        for j, g0, g1 in _grid_blocks(*region_rows, b):
-            own = ((g0, g1), region_cols)
-            out.append(TaskNode(kind, it, j, (panel, own), (own,)))
+    for g0, g1 in _intervals(span, range(span[0] // b * b, span[1], b)):
+        own = (region_rows, (g0, g1)) if left else ((g0, g1), region_cols)
+        out.append(TaskNode(kind, it, g0 // b, (panel, own), (own,)))
     return out
 
 

@@ -636,7 +636,7 @@ def _panel(Q, lq):
             matmul(1.0, T[:s, :s].T, u1, 0.0, u2, _sum=_COMPILED_SUM)
             matmul(1.0, Y[:, :s], u2, 1.0, blk, _sum=_COMPILED_SUM)
         for i in range(s, e):
-            v, ti, beta = house_gen(Q[i:, i].copy())
+            v, ti, beta = house_gen(Q[i:, i])
             tau[i] = ti
             if lib is not None:  # the operands of _column's four products
                 yv, rest = y + 8 * i * (j + 1), q + i * (q0 + q1) + q1

@@ -101,6 +101,15 @@ def schedule(m, n, s, b):
     return widths
 
 
+def keep_band(A, lower, upper):
+    """Zero in place, column by column, every entry of A outside its band:
+    keep A[i, j] where -lower <= j - i <= upper. Returns A."""
+    for j in range(A.shape[1]):
+        A[: max(j - upper, 0), j] = 0.0
+        A[j + lower + 1 :, j] = 0.0
+    return A
+
+
 def panel_task(task_id, A, span, factor, factors, k):
     """The task that factors A's block at span in place with factor
     (qr_panel or lq_panel) and keeps the factors as factors[k]."""

@@ -9,6 +9,10 @@ of one list meets a read or a write of the other (a RAW, WAR or WAW hazard
 between the groups) is rejected before any task runs. Within a list,
 overlap is legal -- tasks there run in order and may build on each other.
 
+A task gets a Workers handle sized to its group; a kernel shares its output
+over it (kernels._share) in at most one piece per worker, and Workers.map
+runs each piece on its own worker.
+
 Every submission to the pool runs in a copy of the submitter's context, so
 context variables such as the open flop scopes (bandred.flops) reach the
 pool threads that run a reduction's tasks; the lists that run on the
@@ -22,6 +26,7 @@ import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from numbers import Integral
 
 __all__ = [
     "Span",
@@ -117,6 +122,14 @@ class EventTrace:
                 f.write(f"{task_id}\t{group}\t{start}\t{end}\n")
 
 
+def _count(name, count):
+    """count as an int if it is one (NumPy integers too, bools not), the rule
+    lookahead.check_sizes applies to the configs' sizes; else ValueError."""
+    if not isinstance(count, Integral) or isinstance(count, bool):
+        raise ValueError(f"{name} must be an int, got {count!r}")
+    return int(count)
+
+
 def _submit(pool, fn, *args):
     # Run fn in a copy of the caller's context: one copy per submission,
     # since a context cannot be entered by two threads at once.
@@ -124,43 +137,36 @@ def _submit(pool, fn, *args):
 
 
 class Workers:
-    """Data-parallel map over count workers of a pool.
+    """Data-parallel map over count workers of a pool, one item per worker.
 
-    The calling thread (the one that runs the group's list) executes the
-    first chunk inline and submits the remaining count-1 chunks, so a group
-    of size c runs on its own thread plus c-1 pool threads. map returns or
-    raises only after every chunk has finished, so no chunk still writes
-    into the caller's arrays; it raises the first error, the inline
-    chunk's before the submitted chunks' in order.
+    The calling thread (the one that runs the group's list) runs the first
+    item inline and submits each other item to the pool, so a group of size
+    c runs on its own thread plus at most c-1 pool threads. A map of more
+    items than workers raises ValueError before any item runs. map returns
+    or raises only after every item has finished, so no item still writes
+    into the caller's arrays; it raises the first error, the inline item's
+    before the submitted items' in order.
     """
 
     def __init__(self, pool, count):
         self.pool = pool
-        self.count = max(1, int(count))
+        self.count = _count("count", count)
+        if self.count < 1:
+            raise ValueError("count >= 1")
 
     def map(self, fn, items):
         items = list(items)
+        if len(items) > self.count:
+            raise ValueError(f"map got {len(items)} items for {self.count} workers")
         if not items:
             return
-        c = min(self.count, len(items))
-        if c <= 1:
-            for it in items:
-                fn(it)
-            return
-        bounds = [(len(items) * q) // c for q in range(c + 1)]
-        chunks = [items[bounds[q] : bounds[q + 1]] for q in range(c)]
-        futures = [_submit(self.pool, self._run_chunk, fn, ch) for ch in chunks[1:]]
+        futures = [_submit(self.pool, fn, it) for it in items[1:]]
         try:
-            self._run_chunk(fn, chunks[0])
+            fn(items[0])
         finally:
             wait(futures)
         for fut in futures:
             fut.result()
-
-    @staticmethod
-    def _run_chunk(fn, chunk):
-        for it in chunk:
-            fn(it)
 
 
 class ExecGroups:
@@ -173,17 +179,17 @@ class ExecGroups:
     parallel list runs on the thread that called run_phase. Otherwise that
     thread runs both lists in order at full width. Either way a phase needs
     at most total_workers - 1 pool threads (the sequential runner plus
-    ts_count - 1 and tp_count - 1 map chunks), because Workers.map is never
-    nested: kernels call their inner matmuls without a Workers handle. So a
-    one-worker groups object never starts a thread.
+    ts_count - 1 and tp_count - 1 map items, one piece per worker), because
+    Workers.map is never nested: kernels call their inner matmuls without a
+    Workers handle. So a one-worker groups object never starts a thread.
 
     Owns the EventTrace of the phases run on it. Each reduction starts it
     afresh, so it holds the records of the latest reduction only.
     """
 
     def __init__(self, total_workers=1, ts_count=1):
-        total_workers = int(total_workers)
-        ts_count = int(ts_count)
+        total_workers = _count("total_workers", total_workers)
+        ts_count = _count("ts_count", ts_count)
         if total_workers < 1:
             raise ValueError("total_workers >= 1")
         if not (0 <= ts_count <= total_workers):

@@ -43,8 +43,8 @@ import numpy as np
 
 from . import kernels
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
-from .lookahead import (Update, apply_task, check_sizes, check_variant, panel_task, plan, run,
-                        schedule)
+from .lookahead import (Update, apply_task, check_sizes, check_variant, keep_band, panel_task,
+                        plan, run, schedule)
 from .runtime import Span, Task
 
 
@@ -171,15 +171,17 @@ def _stream(state, k, bp):
     return items
 
 
-def _finalize(A, n, w):
-    """Mirror the lower triangle onto the upper and zero off-band exactly."""
-    i = np.arange(n)[:, None]
-    jj = np.arange(n)[None, :]
-    low = np.tril(A)
-    low[(i - jj) > w] = 0.0
-    out = low + low.T
-    out[i == jj] = np.diag(low)
-    return np.asfortranarray(out)
+def _finalize(A, w):
+    """Cut A to its lower band of width w in place and mirror the band onto
+    the upper triangle. Off the diagonal both copies hold x + 0.0, the sum
+    with the zeroed upper entry (so a -0.0 turns +0.0); the diagonal keeps
+    its bits."""
+    keep_band(A, w, 0)
+    for j in range(A.shape[1] - 1):
+        col = A[j + 1 : j + w + 1, j]
+        col += 0.0
+        A[j, j + 1 : j + w + 1] = col
+    return A
 
 
 def reduce_sym_band(A, cfg, groups=None):
@@ -209,5 +211,5 @@ def reduce_sym_band(A, cfg, groups=None):
     v2 = cfg.variant is SevpVariant.V2
     phases = plan(lambda k: _stream(state, k, widths[k]), list(widths), lookahead, v2)
     flops = run(phases, groups)
-    band = _finalize(state.A, cfg.n, cfg.w)
+    band = _finalize(state.A, cfg.w)
     return SevpResult(band=band, q=state.Q, flops=flops, iterations=len(widths))

@@ -54,8 +54,8 @@ from enum import Enum
 import numpy as np
 
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
-from .lookahead import (Update, apply_task, check_sizes, check_variant, panel_task, plan, run,
-                        schedule)
+from .lookahead import (Update, apply_task, check_sizes, check_variant, keep_band, panel_task,
+                        plan, run, schedule)
 from .runtime import Span, Task
 
 
@@ -248,7 +248,7 @@ def reduce_band_svd(A, cfg, groups=None):
         A, cfg = A.T, replace(cfg, m=cfg.n, n=cfg.m)
     A = np.array(A, order="F")  # the private copy reduced in place
 
-    tri = cfg.form is SvdForm.TRIANGULAR_BAND
+    bws = (0, cfg.w) if cfg.form is SvdForm.TRIANGULAR_BAND else (cfg.w, cfg.w)
     state = _BandState(A, cfg)
     widths = schedule(cfg.m, cfg.n, state.s, cfg.b)
     fused = cfg.variant in (SvdVariant.SIMULTANEOUS, SvdVariant.V2)
@@ -256,14 +256,7 @@ def reduce_band_svd(A, cfg, groups=None):
     v2 = cfg.variant is SvdVariant.V2
     phases = plan(lambda k: _band_stream(state, k, widths[k], fused), list(widths), lookahead, v2)
     flops = run(phases, groups)
-    i = np.arange(cfg.m)[:, None]
-    jj = np.arange(cfg.n)[None, :]
-    if tri:
-        A[(i > jj) | (jj > i + cfg.w)] = 0.0
-        bws = (0, cfg.w)
-    else:
-        A[np.abs(i - jj) > cfg.w] = 0.0
-        bws = (cfg.w, cfg.w)
+    keep_band(A, *bws)
     if wide:
         return SvdResult(np.asfortranarray(A.T), flops, cfg.form, *bws[::-1], len(widths))
     return SvdResult(A, flops, cfg.form, *bws, len(widths))

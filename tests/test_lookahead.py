@@ -264,3 +264,26 @@ def test_a_static_sweep_finds_no_hazard_in_any_planned_phase(schedule):
                         assert plan.seq_tasks == [] or variant in ("v1", "v2")
                         phases += 1
     assert phases > 1000
+
+
+# --- the band cut both reductions share --------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(9, 6), (6, 6), (5, 9)])
+@pytest.mark.parametrize("lower, upper", [(2, 2), (0, 2), (0, 0), (3, 1)])
+def test_keep_band_keeps_the_band_bits_and_zeroes_the_rest_to_plus_zero(m, n, lower, upper):
+    """keep_band(A, lower, upper) keeps every entry with -lower <= j - i <=
+    upper bit for bit, a -0.0 included, and leaves every other entry +0.0,
+    in place: the band form's cut is (w, w), the tri-band form's (0, w)."""
+    rng = np.random.default_rng(m * n + lower)
+    A = np.asfortranarray(rng.standard_normal((m, n)))
+    A[rng.random((m, n)) < 0.4] = -0.0
+    A[0, 0] = A[m - 1, 0] = A[0, n - 1] = -0.0  # in the band, below it, above it
+    i, j = np.indices((m, n))
+    inside = (-lower <= j - i) & (j - i <= upper)
+    want = np.where(inside, A, 0.0)
+    got = A.copy(order="F")
+    assert lookahead.keep_band(got, lower, upper) is got
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.signbit(got[~inside]).any()
+    assert np.signbit(got[inside & (A == 0.0)]).all()

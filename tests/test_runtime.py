@@ -288,9 +288,9 @@ class _ChunkError(Exception):
 
 @pytest.mark.parametrize("raising, first", [({0}, 0), ({1}, 1), ({0, 1}, 0), ({1, 2}, 1)])
 def test_workers_map_waits_for_every_chunk_before_raising(raising, first):
-    """A chunk that raises does not let map return while a sibling chunk
-    still runs on a pool thread. The error raised is the inline chunk's
-    (chunk 0), else the first submitted chunk's."""
+    """An item that raises does not let map return while a sibling item
+    still runs on a pool thread. The error raised is the inline item's
+    (item 0), else the first submitted item's."""
     done = []
 
     def fn(i):
@@ -304,6 +304,34 @@ def test_workers_map_waits_for_every_chunk_before_raising(raising, first):
             Workers(groups._pool, 3).map(fn, [0, 1, 2])
         assert caught.value.args == (first,)
         assert sorted(done) == sorted({0, 1, 2} - raising)
+
+
+@pytest.mark.parametrize("count, items", [(1, 2), (2, 3), (3, 7)])
+def test_workers_map_refuses_more_items_than_workers_before_running_any(count, items):
+    """map runs one item per worker: more items than workers is a caller's
+    error, raised before any item runs on any thread."""
+    ran = []
+    with ExecGroups(3, 0) as groups:
+        with pytest.raises(ValueError, match=f"{items} items for {count} workers"):
+            Workers(groups._pool, count).map(ran.append, range(items))
+        Workers(groups._pool, count).map(ran.append, range(count))
+    assert sorted(ran) == list(range(count))
+
+
+def test_workers_map_runs_each_item_on_its_own_worker():
+    """The first item runs on the calling thread, each other item on a pool
+    thread of its own."""
+    seen = {}
+    hold = threading.Barrier(3)
+
+    def fn(i):
+        seen[i] = threading.get_ident()
+        hold.wait(timeout=30)  # all three run at once, so no thread is reused
+
+    with ExecGroups(3, 0) as groups:
+        Workers(groups._pool, 3).map(fn, [0, 1, 2])
+    assert seen[0] == threading.get_ident()
+    assert len(set(seen.values())) == 3
 
 
 @pytest.mark.parametrize("total, ts", [(1, 0), (2, 1)])
@@ -382,6 +410,21 @@ def test_exec_groups_validation():
         ExecGroups(2, 3)
     with pytest.raises(ValueError):
         ExecGroups(1, -1)
+    # counts are ints: no float, string or bool is coerced
+    for args, name in (((2.9, 1.7), "total_workers"), (("3", "1"), "total_workers"),
+                       ((True, False), "total_workers"), ((2, 1.0), "ts_count"),
+                       ((2, "1"), "ts_count"), ((2, False), "ts_count")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            ExecGroups(*args)
+    with ExecGroups(np.int64(2), np.int32(1)) as groups:
+        assert (groups.total_workers, groups.ts_count, groups.tp_count) == (2, 1, 1)
+        for count in (2.5, "2", True, None):
+            with pytest.raises(ValueError, match="count must be an int"):
+                Workers(groups._pool, count)
+        for count in (0, -5):
+            with pytest.raises(ValueError, match="count >= 1"):
+                Workers(groups._pool, count)
+        assert type(Workers(groups._pool, np.int64(2)).count) is int
 
 
 # --- per-reduction flop scopes ----------------------------------------------
@@ -408,7 +451,7 @@ def _svd_wide_tri():
 
 def test_concurrent_reductions_each_count_their_own_flops():
     """Reductions on concurrent threads, one of them on a two-group pool
-    whose sequential tasks and Workers.map chunks run on pool threads, each
+    whose sequential tasks and Workers.map items run on pool threads, each
     report the flops they report alone; FLOPS still counts them all."""
     runs = [_sevp_ref, _sevp_ref, _sevp_v1, _svd_band, _svd_wide_tri]
     solo = {fn: fn() for fn in set(runs)}

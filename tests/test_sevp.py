@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import bandred.sevp
 from bandred import (
     ExecGroups,
     SevpConfig,
@@ -250,6 +251,28 @@ def test_flops_per_class_are_pinned(variant, threads):
     res = _run(gen_sym(96, 0), cfg, threads)
     res = res if threads is None else res[0]
     assert res.flops == PINNED_FLOPS_96
+
+
+def test_finalize_cuts_the_band_and_mirrors_it_with_the_sums_bits():
+    """_finalize keeps the bits of mirroring by the sum low + low.T of the
+    cut lower band: off the diagonal both copies hold x + 0.0, so a -0.0
+    in the band turns +0.0 at (i, j) and at (j, i), while the diagonal
+    keeps its own bits, a -0.0 there included. Everything off the band,
+    whatever the upper triangle held, is +0.0."""
+    n, w = 9, 2
+    rng = np.random.default_rng(4)
+    A = np.asfortranarray(rng.standard_normal((n, n)))
+    A[5, 3] = A[2, 2] = A[7, 1] = A[1, 6] = -0.0  # in band, diagonal, off band, upper
+    A[0, 4] = np.nan  # the upper triangle is never read
+    i, j = np.indices((n, n))
+    low = np.where((i >= j) & (i - j <= w), A, 0.0)
+    want = low + low.T
+    want[i == j] = np.diag(A)
+    got = bandred.sevp._finalize(A.copy(order="F"), w)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.signbit(got[5, 3]) and not np.signbit(got[3, 5])
+    assert np.signbit(got[2, 2])
+    assert not np.signbit(got[np.abs(i - j) > w]).any() and (got[np.abs(i - j) > w] == 0).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
