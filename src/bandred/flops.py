@@ -11,11 +11,12 @@ others run on other threads; the runtime carries the context into its
 pool threads.
 
 Classes: "matmul" is 2mkn for every kernels.matmul call; "house" is 3L per
-Householder reflector of length L; "syr2k" is 4k per lower entry of the
-columns a kernels.syr2k_lower call updates, the whole rank-2k update.
+Householder reflector of length L; "syr2k" is 4k per entry of the lower
+trapezoid of the strip a kernels.syr2k_lower call updates, the whole
+rank-2k update.
 
 Each class counts the same for every schedule, split and worker count: a
-schedule that cuts the trailing update into other column ranges charges
+schedule that cuts the trailing update into other column strips charges
 the same entries to "syr2k". At n=384, w=32, b=24 every SEVP variant
 counts 46,777,856 "matmul", 186,384 "house" and 32,245,888 "syr2k"
 flops, 79,210,128 in total.

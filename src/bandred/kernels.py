@@ -42,8 +42,8 @@ stays 2mkn per matmul call. Three entry points:
   column and of build_w, at addresses the caller works out from its
   arrays' bases;
 - bandred_symm_lower sums symm_lower from A2's lower triangle (_SymmLower);
-- bandred_syr2k_lower runs syr2k_lower's whole column range, or one
-  worker's piece of it per call when workers share it (_syr2k). It
+- bandred_syr2k_lower runs syr2k_lower's whole strip, or one worker's
+  piece of its columns per call when workers share it (_syr2k). It
   charges "syr2k" once, never "matmul".
 The C is built on first use with `cc -O3 -ffp-contract=off -fPIC -shared`
 (no FMA contraction, no -ffast-math or -fassociative-math, no
@@ -750,46 +750,46 @@ def symm_lower(A2, W, out, workers=None):
     return matmul(1.0, A2, W, 0.0, out, workers, _sum=_SymmLower(lib.symm_lower))
 
 
-def _syr2k(fn, A2, X3, Y, c0, c1):
-    """Columns c0..c1 of syr2k_lower by one call of the compiled fn at the
-    operands' addresses (strides go in entries)."""
-    j, k = X3.shape
-    (ar, ac), (xr, xc), (yr, yc) = A2.strides, X3.strides, Y.strides
-    fn(c0, c1, j, k, A2.ctypes.data, ar >> 3, ac >> 3, X3.ctypes.data, xr >> 3, xc >> 3,
+def _syr2k(fn, S, X, Y, c0, c1):
+    """Columns c0..c1 of syr2k_lower on the strip S by one call of the
+    compiled fn at the operands' addresses (strides go in entries)."""
+    j, k = X.shape
+    (sr, sc), (xr, xc), (yr, yc) = S.strides, X.strides, Y.strides
+    fn(c0, c1, j, k, S.ctypes.data, sr >> 3, sc >> 3, X.ctypes.data, xr >> 3, xc >> 3,
        Y.ctypes.data, yr >> 3, yc >> 3)
 
 
-def syr2k_lower(A2, X3, Y, c0, c1, workers=None):
-    """A2[:, c0:c1] += X3*Y^T + Y*X3^T, lower triangle only, exactly.
+def syr2k_lower(S, X, Y, workers=None):
+    """S += X*Y^T + Y*X^T on the lower trapezoid of the strip S, exactly:
+    S is j x c with c <= j, its top-left entry on the diagonal of the
+    symmetric matrix it is cut from, and X and Y are j x k.
 
-    Each lower entry (r, c) adds X3[r, p]*Y[c, p] for p ascending, then
-    Y[r, p]*X3[c, p] for p ascending: one chain of inner length 2k, in an
-    order that no column split of the range changes. The compiled sum runs
-    the whole range in one call (bandred_syr2k_lower); two or more workers
+    Each lower entry (r, c) adds X[r, p]*Y[c, p] for p ascending, then
+    Y[r, p]*X[c, p] for p ascending: one chain of inner length 2k, in an
+    order that no column split of the strip changes. The compiled sum runs
+    the whole strip in one call (bandred_syr2k_lower); two or more workers
     share its columns (_share), one call per piece, the pieces near-equal in
     lower entries (column c holds j - c). Without it, each column sums as
     two _numpy_step calls. Either way the whole update is charged once to
-    "syr2k", 4k per lower entry of the range.
+    "syr2k", 4k per lower entry of the strip.
     """
-    _as2d(A2, "A2"), _as2d(X3, "X3"), _as2d(Y, "Y")
-    j = A2.shape[0]
-    if A2.shape != (j, j) or X3.shape[0] != j or Y.shape != X3.shape:
+    _as2d(S, "S"), _as2d(X, "X"), _as2d(Y, "Y")
+    j, c = S.shape
+    if c > j or X.shape[0] != j or Y.shape != X.shape:
         raise ValueError("syr2k_lower shape mismatch")
-    if not (0 <= c0 <= c1 <= j):
-        raise ValueError("syr2k_lower bad column range")
-    k = X3.shape[1]
-    if c0 == c1 or k == 0:
-        return A2
-    FLOPS.add("syr2k", 2 * k * (c1 - c0) * (2 * j - c0 - c1 + 1))
-    lib = _COMPILED_SUM.lib_for(X3, Y, out=(A2,))
+    k = X.shape[1]
+    if c == 0 or k == 0:
+        return S
+    FLOPS.add("syr2k", 2 * k * c * (2 * j - c + 1))
+    lib = _COMPILED_SUM.lib_for(X, Y, out=(S,))
     if lib is None:
-        def run(s0, s1):
-            for c in range(c0 + s0, c0 + s1):
-                col = A2[c:, c : c + 1]
-                _numpy_step(1.0, X3[c:], Y[c : c + 1].T, 1.0, col, None)
-                _numpy_step(1.0, Y[c:], X3[c : c + 1].T, 1.0, col, None)
+        def run(c0, c1):
+            for i in range(c0, c1):
+                col = S[i:, i : i + 1]
+                _numpy_step(1.0, X[i:], Y[i : i + 1].T, 1.0, col, None)
+                _numpy_step(1.0, Y[i:], X[i : i + 1].T, 1.0, col, None)
     else:
-        def run(s0, s1):
-            _syr2k(lib.syr2k_lower, A2, X3, Y, c0 + s0, c0 + s1)
-    _share(workers, c1 - c0, run, cost=range(j - c0, j - c1, -1))
-    return A2
+        def run(c0, c1):
+            _syr2k(lib.syr2k_lower, S, X, Y, c0, c1)
+    _share(workers, c, run, cost=range(j, j - c, -1))
+    return S

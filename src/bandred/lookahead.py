@@ -11,8 +11,10 @@ the planner (plan) that turns per-iteration task streams into phases.
 A reduction hands the planner a stream per iteration: that iteration's
 tasks in Reference order. Panels are the stream's tasks whose reads equal
 their writes; products are its tasks that write only buffers, not A or Q.
-An update of A the planner may cut is an Update: its box and a function
-that makes the task for any sub-box.
+An update the planner may cut is an Update: its Span and a function that
+makes the task for any sub-span. A task body takes each operand through a
+span it declares (view), from the reduction's table of arrays ({"A": A,
+"Q": Q}, and the iteration's buffers, which buffer adds).
 
 The Reference schedule runs each stream as one phase on the parallel list.
 The look-ahead variants factor iteration k+1's panels on the sequential
@@ -43,31 +45,42 @@ sequential list and <id-base>-rest (-rest1, -rest2, ...) on the parallel one.
 
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
+
+import numpy as np
 
 from .flops import flop_scope
-from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, run_phase
+from .runtime import EventTrace, ExecGroups, PhasePlan, Span, Task, _count, run_phase
 
 
 @dataclass
 class Update:
-    """An update of A's box rows x cols. make(rows, cols, tag) builds the
-    task for any sub-box, tag appended to the id base ("" keeps the id)."""
+    """An update of the block at span. make(span, tag) builds the task for
+    any sub-span, tag appended to the id base ("" keeps the id)."""
 
-    rows: tuple
-    cols: tuple
+    span: Span
     make: object
 
     def whole(self):
-        return self.make(self.rows, self.cols, "")
+        return self.make(self.span, "")
+
+
+def view(arrays, span):
+    """The block of arrays[span.target] that span covers."""
+    return arrays[span.target][slice(*span.rows), slice(*span.cols)]
+
+
+def buffer(arrays, name, rows, cols):
+    """Add a zeroed rows x cols F-order buffer to arrays as name; return
+    its whole span."""
+    arrays[name] = np.zeros((rows, cols), order="F")
+    return Span(name, (0, rows), (0, cols))
 
 
 def check_sizes(w, b, **dims):
     """The size rules of both configs: the dims (n, and m), w and b are ints
     (NumPy integers too, bools not), the dims at least 1, and 1 <= b <= w."""
     for name, size in {**dims, "w": w, "b": b}.items():
-        if not isinstance(size, Integral) or isinstance(size, bool):
-            raise ValueError(f"{name} must be an int, got {size!r}")
+        _count(name, size)
     if min(dims.values()) < 1 or not 1 <= b <= w:
         raise ValueError(f"need {', '.join(dims)} >= 1 and 1 <= b <= w")
 
@@ -110,26 +123,24 @@ def keep_band(A, lower, upper):
     return A
 
 
-def panel_task(task_id, A, span, factor, factors, k):
-    """The task that factors A's block at span in place with factor
+def panel_task(task_id, arrays, span, factor, factors, k):
+    """The task that factors the block at span in place with factor
     (qr_panel or lq_panel) and keeps the factors as factors[k]."""
-    rows, cols = slice(*span.rows), slice(*span.cols)
 
     def fn(workers):
-        factors[k] = factor(A[rows, cols])
+        factors[k] = factor(view(arrays, span))
 
     return Task(task_id, fn, [span], [span])
 
 
-def apply_task(task_id, M, span, apply, factors, k, panel):
-    """The task that applies factors[k] to M's block at span in place with
+def apply_task(task_id, arrays, span, apply, factors, k, panel):
+    """The task that applies factors[k] to the block at span in place with
     apply (apply_wy_left or apply_wy_right, with its _sum step bound if
     the caller chooses one). It reads panel, the span whose factorization
     makes factors[k], first (see runtime.Task)."""
-    rows, cols = slice(*span.rows), slice(*span.cols)
 
     def fn(workers):
-        apply(M[rows, cols], factors[k], workers)
+        apply(view(arrays, span), factors[k], workers)
 
     return Task(task_id, fn, [span], [panel, span])
 
@@ -158,17 +169,19 @@ def _reads_any(task, others):
 def _place(update, reads):
     """update's pieces on the sequential list (the cells reads meet) and on
     the parallel list, each side whole when it takes every cell."""
-    rows = _intervals(update.rows, [r.rows[1] for r in reads])
-    cells = [(r, c) for c in _intervals(update.cols, [r.cols[1] for r in reads]) for r in rows]
+    box = update.span
+    rows = _intervals(box.rows, [r.rows[1] for r in reads])
+    cols = _intervals(box.cols, [r.cols[1] for r in reads])
+    cells = [Span(box.target, r, c) for c in cols for r in rows]
     sides = ([], [])
     for cell in cells:
-        sides[not any(Span("A", *cell).intersects(r) for r in reads)].append(cell)
+        sides[not any(cell.intersects(r) for r in reads)].append(cell)
     pieces = []
     for side, tag in zip(sides, ("-head", "-rest")):
         if side == cells:
-            side, tag = [(update.rows, update.cols)], ""
+            side, tag = [box], ""
         tags = [tag] if len(side) == 1 else [f"{tag}{i + 1}" for i in range(len(side))]
-        pieces.append([update.make(r, c, t) for (r, c), t in zip(side, tags)])
+        pieces.append([update.make(cell, t) for cell, t in zip(side, tags)])
     return pieces
 
 

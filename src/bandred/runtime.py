@@ -49,8 +49,9 @@ class WriteOverlapError(ValueError):
 class Span:
     """Half-open range on a named target: rows [r0, r1) x cols [c0, c1).
 
-    Targets are names ("A" for the matrix being reduced, buffer names for
-    intermediates); spans on different targets never overlap.
+    Each target names an array of the reduction's table ("A", "Q" or a
+    buffer such as "X1@k"); lookahead.view gives the block a span covers.
+    Spans on different targets never overlap.
     """
 
     target: str

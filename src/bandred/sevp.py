@@ -43,8 +43,8 @@ import numpy as np
 
 from . import kernels
 from .kernels import apply_wy_left, apply_wy_right, matmul, qr_panel, symm_lower, syr2k_lower
-from .lookahead import (Update, apply_task, check_sizes, check_variant, keep_band, panel_task,
-                        plan, run, schedule)
+from .lookahead import (Update, apply_task, buffer, check_sizes, check_variant, keep_band,
+                        panel_task, plan, run, schedule, view)
 from .runtime import Span, Task
 
 
@@ -86,56 +86,51 @@ def sevp_nominal_flops(n):
 
 class _State:
     def __init__(self, A, cfg):
-        self.A = A
         self.n = cfg.n
         self.w = cfg.w
         self.factors = {}
-        self.Q = np.eye(cfg.n, order="F") if cfg.accumulate_q else None
+        self.arrays = {"A": A, "Q": np.eye(cfg.n, order="F") if cfg.accumulate_q else None}
 
 
 # --- the X products and the trailing update, shared verbatim by every schedule
 
 
-def _x_tasks(state, k, panel):
+def _x_tasks(state, arrays, k, panel):
     """X1 = sym(A2)*W; X2 = (1/2)X1^T W; X3 = X1 + Y*X2, for the j x bp
-    QR panel at span panel. All three sum in compiled C where it loads."""
-    n, w = state.n, state.w
-    j, bp = panel.rows[1] - panel.rows[0], panel.cols[1] - panel.cols[0]
-    X1 = np.zeros((j, bp), order="F")
-    X2 = np.zeros((bp, bp), order="F")
-    X3 = np.zeros((j, bp), order="F")
+    QR panel at span panel, into buffers added to arrays. All three sum in
+    compiled C where it loads. Returns the tasks and X3's span."""
+    f, j, bp = state.factors, panel.rows[1] - panel.rows[0], panel.cols[1] - panel.cols[0]
+    trailing = Span("A", panel.rows, panel.rows)
+    x1, x2, x3 = (buffer(arrays, f"X{i}@{k}", r, bp) for i, r in ((1, j), (2, bp), (3, j)))
 
     def fn1(workers):
-        symm_lower(state.A[k + w : n, k + w : n], state.factors[k].w, X1, workers)
+        symm_lower(view(arrays, trailing), f[k].w, view(arrays, x1), workers)
 
     def fn2(workers):
-        matmul(0.5, X1.T, state.factors[k].w, 0.0, X2, _sum=kernels._COMPILED_SUM)
+        matmul(0.5, view(arrays, x1).T, f[k].w, 0.0, view(arrays, x2), _sum=kernels._COMPILED_SUM)
 
     def fn3(workers):
-        X3[...] = X1
-        matmul(1.0, state.factors[k].y, X2, 1.0, X3, _sum=kernels._COMPILED_SUM)
+        X3 = view(arrays, x3)
+        X3[...] = view(arrays, x1)
+        matmul(1.0, f[k].y, view(arrays, x2), 1.0, X3, _sum=kernels._COMPILED_SUM)
 
-    x1 = Span(f"X1@{k}", (0, j), (0, bp))
-    x2 = Span(f"X2@{k}", (0, bp), (0, bp))
-    x3 = Span(f"X3@{k}", (0, j), (0, bp))
-    trailing = Span("A", (k + w, n), (k + w, n))
     t1 = Task(f"xprod1@{k}", fn1, [x1], [panel, trailing])
     t2 = Task(f"xprod2@{k}", fn2, [x2], [panel, x1])
     t3 = Task(f"xprod3@{k}", fn3, [x3], [panel, x1, x2])
-    return (t1, t2, t3), X3
+    return (t1, t2, t3), x3
 
 
-def _syr2k_task(state, k, X3, panel, c0, c1, tag):
-    n, w = state.n, state.w
+def _syr2k_task(state, arrays, k, x3, panel, cell, tag):
+    """The task that adds X3*Y^T + Y*X3^T to the strip of cell's columns
+    from the diagonal down; Y's rows are read through panel."""
+    span = Span(cell.target, (cell.cols[0], cell.rows[1]), cell.cols)
+    c0 = span.cols[0] - panel.rows[0]
+    x = Span(x3.target, (c0, x3.rows[1]), x3.cols)
 
     def fn(workers):
-        syr2k_lower(
-            state.A[k + w : n, k + w : n], X3, state.factors[k].y, c0, c1, workers
-        )
+        syr2k_lower(view(arrays, span), view(arrays, x), state.factors[k].y[c0:], workers)
 
-    span = Span("A", (k + w + c0, n), (k + w + c0, k + w + c1))
-    x3 = Span(f"X3@{k}", (c0, n - k - w), (0, X3.shape[1]))
-    return Task(f"trail{tag}@{k}", fn, [span], [panel, x3, span])
+    return Task(f"trail{tag}@{k}", fn, [span], [panel, x, span])
 
 
 # --- the iteration's task stream -----------------------------------------
@@ -146,28 +141,24 @@ def _stream(state, k, bp):
     so the planner cuts the trailing update only into column strips, each
     the lower part of its columns. The mid block and Q applications sum in
     compiled C where it loads, like every other task here."""
-    n, t, f = state.n, k + state.w, state.factors
+    n, t, f, arrays = state.n, k + state.w, state.factors, dict(state.arrays)
     left = partial(apply_wy_left, _sum=kernels._COMPILED_SUM)
     right = partial(apply_wy_right, _sum=kernels._COMPILED_SUM)
     panel = Span("A", (t, n), (k, k + bp))
-    items = [panel_task(f"qr@{k}", state.A, panel, qr_panel, f, k)]
-    if state.Q is not None:
+    items = [panel_task(f"qr@{k}", arrays, panel, qr_panel, f, k)]
+    if arrays["Q"] is not None:
         q = Span("Q", (0, n), (t, n))
-        items.append(apply_task(f"accq@{k}", state.Q, q, right, f, k, panel))
+        items.append(apply_task(f"accq@{k}", arrays, q, right, f, k, panel))
 
-    def mid(rows, cols, tag):
-        span = Span("A", rows, cols)
-        return apply_task(f"mid{tag}@{k}", state.A, span, left, f, k, panel)
+    def mid(span, tag):
+        return apply_task(f"mid{tag}@{k}", arrays, span, left, f, k, panel)
 
     if bp < state.w:
-        items.append(Update((t, n), (k + bp, t), mid))
-    xt, X3 = _x_tasks(state, k, panel)
+        items.append(Update(Span("A", (t, n), (k + bp, t)), mid))
+    xt, x3 = _x_tasks(state, arrays, k, panel)
     items.extend(xt)
-
-    def trail(rows, cols, tag):
-        return _syr2k_task(state, k, X3, panel, cols[0] - t, cols[1] - t, tag)
-
-    items.append(Update((t, n), (t, n), trail))
+    trail = partial(_syr2k_task, state, arrays, k, x3, panel)
+    items.append(Update(Span("A", (t, n), (t, n)), trail))
     return items
 
 
@@ -211,5 +202,5 @@ def reduce_sym_band(A, cfg, groups=None):
     v2 = cfg.variant is SevpVariant.V2
     phases = plan(lambda k: _stream(state, k, widths[k]), list(widths), lookahead, v2)
     flops = run(phases, groups)
-    band = _finalize(state.A, cfg.w)
-    return SevpResult(band=band, q=state.Q, flops=flops, iterations=len(widths))
+    band = _finalize(A, cfg.w)
+    return SevpResult(band=band, q=state.arrays["Q"], flops=flops, iterations=len(widths))

@@ -50,12 +50,13 @@ the bandwidth tags swapped accordingly.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .kernels import apply_wy_left, apply_wy_right, lq_panel, matmul, qr_panel
-from .lookahead import (Update, apply_task, check_sizes, check_variant, keep_band, panel_task,
-                        plan, run, schedule)
+from .lookahead import (Update, apply_task, buffer, check_sizes, check_variant, keep_band,
+                        panel_task, plan, run, schedule, view)
 from .runtime import Span, Task
 
 
@@ -115,7 +116,7 @@ def svd_nominal_flops(m, n):
 
 class _BandState:
     def __init__(self, A, cfg):
-        self.A = A
+        self.arrays = {"A": A}  # the reduction's table, which each stream copies
         self.m = cfg.m
         self.n = cfg.n
         self.w = cfg.w
@@ -128,57 +129,51 @@ class _BandState:
 # --- the Simultaneous products and D update -------------------------------
 
 
-def _fused_tasks(state, k, qr, lq):
-    """Z_L = D^T W_U, Z_R = D W_V, X = Z_R + Y_U (Z_L^T W_V); both Z products
-    read D before any write to it (the whole point of the fused update).
-    qr and lq are iteration k's panel spans. Band form only."""
+def _fused_tasks(state, arrays, k, qr, lq):
+    """Z_L = D^T W_U, Z_R = D W_V, X = Z_R + Y_U (Z_L^T W_V), into buffers
+    added to arrays; both Z products read D before any write to it (the
+    whole point of the fused update). qr and lq are iteration k's panel
+    spans. Band form only. Returns the tasks and the spans of Z_L and X."""
     m, n, w = state.m, state.n, state.w
     i, jr, bp, bq = m - k - w, n - k - w, qr.cols[1] - k, lq.rows[1] - k
-    ZL = np.zeros((jr, bp), order="F")
-    ZR = np.zeros((i, bq), order="F")
-    X = np.zeros((i, bq), order="F")
+    D = Span("A", (k + w, m), (k + w, n))
+    zl, zr, x = (buffer(arrays, f"{z}@{k}", *dims) for z, dims in
+                 (("ZL", (jr, bp)), ("ZR", (i, bq)), ("X", (i, bq))))
 
     def fzl(workers):
-        matmul(1.0, state.A[k + w : m, k + w : n].T, state.fu[k].w, 0.0, ZL, workers)
+        matmul(1.0, view(arrays, D).T, state.fu[k].w, 0.0, view(arrays, zl), workers)
 
     def fzr(workers):
-        matmul(1.0, state.A[k + w : m, k + w : n], state.fv[k].w, 0.0, ZR, workers)
+        matmul(1.0, view(arrays, D), state.fv[k].w, 0.0, view(arrays, zr), workers)
 
     def fx(workers):
         tmp = np.zeros((bp, bq), order="F")
-        matmul(1.0, ZL.T, state.fv[k].w, 0.0, tmp)
-        X[...] = ZR
+        matmul(1.0, view(arrays, zl).T, state.fv[k].w, 0.0, tmp)
+        X = view(arrays, x)
+        X[...] = view(arrays, zr)
         matmul(1.0, state.fu[k].y, tmp, 1.0, X)
 
-    D = Span("A", (k + w, m), (k + w, n))
-    zl = Span(f"ZL@{k}", (0, jr), (0, bp))
-    zr = Span(f"ZR@{k}", (0, i), (0, bq))
     t1 = Task(f"zleft@{k}", fzl, [zl], [qr, D])
     t2 = Task(f"zright@{k}", fzr, [zr], [lq, D])
-    t3 = Task(f"xprod@{k}", fx, [Span(f"X@{k}", (0, i), (0, bq))], [qr, lq, zl, zr])
-    return (t1, t2, t3), (ZL, X)
+    t3 = Task(f"xprod@{k}", fx, [x], [qr, lq, zl, zr])
+    return (t1, t2, t3), (zl, x)
 
 
-def _dsub_task(state, k, ZL, X, qr, lq, r0, r1, c0, c1, tag):
-    """D[r0:r1, c0:c1] += X Y_V^T + Y_U Z_L^T (D-local indices). The two
-    products run in this fixed order for every sub-block, so any 2x2 split
-    of D is bitwise identical to one full-D pass."""
-    w = state.w
+def _dsub_task(state, arrays, k, zl, x, qr, lq, span, tag):
+    """D's block at span += X Y_V^T + Y_U Z_L^T. The two products run in
+    this fixed order for every sub-block, so any 2x2 split of D is bitwise
+    identical to one full-D pass. The factor rows are read through qr and
+    lq."""
+    r0, r1, c0, c1 = (e - k - state.w for e in (*span.rows, *span.cols))
+    xs = Span(x.target, (r0, r1), x.cols)
+    zls = Span(zl.target, (c0, c1), zl.cols)
 
     def fn(workers):
-        Dv = state.A[k + w + r0 : k + w + r1, k + w + c0 : k + w + c1]
-        matmul(1.0, X[r0:r1, :], state.fv[k].y[c0:c1, :].T, 1.0, Dv, workers)
-        matmul(1.0, state.fu[k].y[r0:r1, :], ZL[c0:c1, :].T, 1.0, Dv, workers)
+        Dv = view(arrays, span)
+        matmul(1.0, view(arrays, xs), state.fv[k].y[c0:c1, :].T, 1.0, Dv, workers)
+        matmul(1.0, state.fu[k].y[r0:r1, :], view(arrays, zls).T, 1.0, Dv, workers)
 
-    span = Span("A", (k + w + r0, k + w + r1), (k + w + c0, k + w + c1))
-    reads = [
-        qr,
-        lq,
-        Span(f"X@{k}", (r0, r1), (0, X.shape[1])),
-        Span(f"ZL@{k}", (c0, c1), (0, ZL.shape[1])),
-        span,
-    ]
-    return Task(f"dsub{tag}@{k}", fn, [span], reads)
+    return Task(f"dsub-d{tag}@{k}", fn, [span], [qr, lq, xs, zls, span])
 
 
 # --- the iteration's task stream ------------------------------------------
@@ -188,17 +183,18 @@ def _band_stream(state, k, bp, fused):
     """Iteration k's tasks in Reference order, its QR panel bp wide: the two
     D applications one after the other, or fused into one pass
     (Simultaneous)."""
-    A, m, n, w, s, fu, fv = state.A, state.m, state.n, state.w, state.s, state.fu, state.fv
+    m, n, w, s, fu, fv = state.m, state.n, state.w, state.s, state.fu, state.fv
+    arrays = dict(state.arrays)
     jr = n - k - w
     qr = Span("A", (k + s, m), (k, k + bp))
 
     def update(rows, cols, name, apply, factors, panel):
-        def make(r, c, tag):
-            return apply_task(f"{name}{tag}@{k}", A, Span("A", r, c), apply, factors, k, panel)
+        def make(span, tag):
+            return apply_task(f"{name}{tag}@{k}", arrays, span, apply, factors, k, panel)
 
-        return Update(rows, cols, make)
+        return Update(Span("A", rows, cols), make)
 
-    items = [panel_task(f"qr@{k}", A, qr, qr_panel, fu, k)]
+    items = [panel_task(f"qr@{k}", arrays, qr, qr_panel, fu, k)]
     b1end = min(k + w, n)
     if k + bp < b1end:
         items.append(update((k + s, m), (k + bp, b1end), "left-b1", apply_wy_left, fu, qr))
@@ -208,18 +204,15 @@ def _band_stream(state, k, bp, fused):
     lq = Span("A", (k, k + bq), (k + w, n))
     if not fused:
         items.append(update((k + s, m), (k + w, n), "left-d", apply_wy_left, fu, qr))
-    items.append(panel_task(f"lq@{k}", A, lq, lq_panel, fv, k))
+    items.append(panel_task(f"lq@{k}", arrays, lq, lq_panel, fv, k))
     if bq < w:
         items.append(update((k + bq, k + w), (k + w, n), "right-c1", apply_wy_right, fv, lq))
     if not fused:
         items.append(update((k + w, m), (k + w, n), "right-d", apply_wy_right, fv, lq))
     else:
-        products, (ZL, X) = _fused_tasks(state, k, qr, lq)
-
-        def dsub(r, c, tag):
-            return _dsub_task(state, k, ZL, X, qr, lq, *(i - k - w for i in (*r, *c)), "-d" + tag)
-
-        items += [*products, Update((k + w, m), (k + w, n), dsub)]
+        products, (zl, x) = _fused_tasks(state, arrays, k, qr, lq)
+        dsub = partial(_dsub_task, state, arrays, k, zl, x, qr, lq)
+        items += [*products, Update(Span("A", (k + w, m), (k + w, n)), dsub)]
     return items
 
 

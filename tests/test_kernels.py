@@ -230,8 +230,9 @@ def test_syr2k_lower_matches_per_column_oracle_bitwise(case, pool_workers):
     Y = _laid_out(_values(rng, (j, b)), ly)
     got, want = _laid_out(S0, la), _laid_out(S0, la)
     workers = pool_workers[case["workers"]]
-    got_flops = _counted(syr2k_lower, got, X3, Y, *case["cols"], workers)
-    want_flops = _counted(_syr2k_loop, want, X3, Y, *case["cols"])
+    c0, c1 = case["cols"]
+    got_flops = _counted(syr2k_lower, got[c0:, c0:c1], X3[c0:], Y[c0:], workers)
+    want_flops = _counted(_syr2k_loop, want, X3, Y, c0, c1)
     assert np.array_equal(_bits(got), _bits(want))  # the upper triangle included
     assert got_flops == want_flops
 
@@ -322,7 +323,7 @@ def test_apply_wy_matches_loop_oracle_bitwise(case, pool_workers):
 def test_flop_snapshot_reports_every_class_after_reset():
     FLOPS.reset()
     assert FLOPS.snapshot() == {"matmul": 0, "house": 0, "syr2k": 0, "total": 0}
-    syr2k_lower(np.zeros((3, 3)), np.ones((3, 2)), np.ones((3, 2)), 0, 3)
+    syr2k_lower(np.zeros((3, 3)), np.ones((3, 2)), np.ones((3, 2)))
     snap = FLOPS.snapshot()
     assert snap["syr2k"] == 4 * 2 * 3 * 4 // 2 and snap["house"] == 0
     assert snap["total"] == snap["matmul"] + snap["syr2k"]
@@ -699,11 +700,11 @@ def test_syr2k_lower_matches_dense_and_split():
     Y = _rand(n, b, 47)
 
     whole = S0.copy(order="F")
-    syr2k_lower(whole, X, Y, 0, n)
+    syr2k_lower(whole, X, Y)
 
     parts = S0.copy(order="F")
-    syr2k_lower(parts, X, Y, 0, 4)
-    syr2k_lower(parts, X, Y, 4, n)
+    syr2k_lower(parts[:, :4], X, Y)
+    syr2k_lower(parts[4:, 4:], X[4:], Y[4:])
     assert np.array_equal(parts, whole)
 
     dense = _densify(S0) + X @ Y.T + Y @ X.T
@@ -711,6 +712,20 @@ def test_syr2k_lower_matches_dense_and_split():
     assert np.max(np.abs(np.tril(got) - np.tril(dense))) <= 1e-12 * np.linalg.norm(
         dense
     )
+
+
+def test_syr2k_lower_rejects_a_wide_strip_or_mismatched_operands():
+    """The strip's top-left entry lies on the diagonal, so a strip wider
+    than it is tall reaches above it; X and Y must have the strip's rows.
+    Each raises before S changes."""
+    X, Y = _rand(5, 2, 48), _rand(5, 2, 49)
+    for S, x, y in ((np.zeros((4, 5), order="F"), X[:4], Y[:4]),
+                    (np.zeros((5, 3), order="F"), X[:4], Y),
+                    (np.zeros((5, 3), order="F"), X, Y[:4]),
+                    (np.zeros((5, 3), order="F"), X, Y[:, :1])):
+        with pytest.raises(ValueError, match="syr2k_lower shape mismatch"):
+            syr2k_lower(S, x, y)
+        assert not S.any()
 
 
 class _Recorder:
@@ -756,10 +771,11 @@ def _two_sided(A2, f):
     through the SEVP task bodies: the X1/X2/X3 products, then the rank-2k
     trailing update, with A2 as the trailing block of iteration k = 0."""
     j, b = f.y.shape
-    state = SimpleNamespace(A=A2, n=j, w=0, factors={0: f})
+    state, arrays = SimpleNamespace(factors={0: f}), {"A": A2}
     panel = Span("A", (0, j), (0, b))
-    xprods, X3 = sevp._x_tasks(state, 0, panel)
-    for task in (*xprods, sevp._syr2k_task(state, 0, X3, panel, 0, j, "")):
+    xprods, x3 = sevp._x_tasks(state, arrays, 0, panel)
+    trail = sevp._syr2k_task(state, arrays, 0, x3, panel, Span("A", (0, j), (0, j)), "")
+    for task in (*xprods, trail):
         task.fn(None)
 
 
@@ -857,7 +873,7 @@ def test_compiled_sum_runs_wherever_cc_exists(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         symm_lower(A, _rand(70, 3, 68), np.zeros((70, 3), order="F"))
-        syr2k_lower(A, _rand(70, 3, 69), _rand(70, 3, 70), 0, 70)
+        syr2k_lower(A, _rand(70, 3, 69), _rand(70, 3, 70))
         # b > PANEL_INNER_B, so the inner-block update runs too
         qr_panel(_rand(70, 20, 71))
         lq_panel(_rand(20, 70, 72))
@@ -1001,10 +1017,11 @@ def test_syr2k_lower_same_bits_and_flops_on_both_sums(case, compiled_sum, numpy_
     X3 = _laid_out(_extreme_values(rng, (j, b)), lx)
     Y = _laid_out(_extreme_values(rng, (j, b)), ly)
     got, want = _laid_out(S0, la), _laid_out(S0, la)
-    args = (X3, Y, *case["cols"], pool_workers[case["workers"]])
+    c0, c1 = case["cols"]
+    args = (X3[c0:], Y[c0:], pool_workers[case["workers"]])
     with np.errstate(all="ignore"):
-        got_flops = _counted_with(compiled_sum, syr2k_lower, got, *args)
-        want_flops = _counted_with(numpy_sum, syr2k_lower, want, *args)
+        got_flops = _counted_with(compiled_sum, syr2k_lower, got[c0:, c0:c1], *args)
+        want_flops = _counted_with(numpy_sum, syr2k_lower, want[c0:, c0:c1], *args)
     assert np.array_equal(_bits(got), _bits(want))
     assert got_flops == want_flops
 
@@ -1200,7 +1217,7 @@ def _compiled_kernel_outputs(workers=None):
     out = np.zeros((j, b), order="F")
     PQ, PL = _laid_out(_values(rng, (j, 20)), "F"), _laid_out(_values(rng, (20, j)), "F")
     FLOPS.reset()
-    syr2k_lower(S, X3, Y, 0, j, workers)
+    syr2k_lower(S, X3, Y, workers)
     symm_lower(S, W, out, workers)
     factors = qr_panel(PQ), lq_panel(PL)
     arrays = [out, S, PQ, PL] + [getattr(f, a) for f in factors for a in ("y", "t", "w", "r_or_l", "tau")]

@@ -1,9 +1,11 @@
-"""The look-ahead planner, checked on plans alone: nothing here runs a task.
+"""The look-ahead planner, checked on plans, and the task bodies, checked
+against the spans their plans declare.
 
 run_phase is replaced by a recorder where the reductions' shared run loop
 (lookahead.run) looks it up, so each reduction only plans. The pinned digests fix every schedule's phases (labels, the
 group, order and declared spans of every task; not the task ids) over a
 grid of shapes; the property tests check the rules the planner promises.
+Only the view audit runs tasks: serially, with lookahead.view recorded.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from bandred import (
     reduce_band_svd,
     reduce_sym_band,
 )
-from bandred.runtime import _check_hazards
+from bandred.runtime import Task, _check_hazards
 
 SEVP_N = (1, 2, 5, 9, 13, 17, 22, 29)
 SVD_MN = ((1, 1), (3, 2), (9, 9), (13, 7), (17, 17), (22, 15), (29, 23), (7, 13), (15, 22))
@@ -151,8 +153,8 @@ def test_benchmark_size_plans_match_the_pinned_digest(planned, cfg, digest):
 
 @pytest.fixture
 def updates(monkeypatch):
-    """Every Update the streams build, with the cell of each task made from
-    it (keyed by the task's id())."""
+    """Every Update the streams build, with the cell (a Span) of each task
+    made from it (keyed by the task's id())."""
     made = []
 
     @dataclass
@@ -162,9 +164,9 @@ def updates(monkeypatch):
             made.append((self, cells))
             make = self.make
 
-            def recorded(rows, cols, tag):
-                task = make(rows, cols, tag)
-                cells[id(task)] = (rows, cols)
+            def recorded(cell, tag):
+                task = make(cell, tag)
+                cells[id(task)] = cell
                 return task
 
             self.make = recorded
@@ -174,8 +176,8 @@ def updates(monkeypatch):
     return made
 
 
-def _area(rows, cols):
-    return (rows[1] - rows[0]) * (cols[1] - cols[0])
+def _area(span):
+    return (span.rows[1] - span.rows[0]) * (span.cols[1] - span.cols[0])
 
 
 def _reads_from(panel, task):
@@ -213,14 +215,15 @@ def test_planned_phases_are_legal_and_cuts_tile_their_boxes(planned, updates, sc
         ran = {id(t) for plan in plans for t in plan.seq_tasks + plan.par_tasks}
         for update, cells in updates:
             boxes = [cell for key, cell in cells.items() if key in ran]
-            assert boxes, (cfg, update.rows, update.cols)
-            assert sum(_area(*c) for c in boxes) == _area(update.rows, update.cols)
-            for rows, cols in boxes:
-                assert update.rows[0] <= rows[0] < rows[1] <= update.rows[1]
-                assert update.cols[0] <= cols[0] < cols[1] <= update.cols[1]
-            spans = [Span("A", *cell) for cell in boxes]
-            for i, a in enumerate(spans):
-                assert not any(a.intersects(b) for b in spans[i + 1 :]), (cfg, boxes)
+            box = update.span
+            assert boxes, (cfg, box)
+            assert sum(_area(c) for c in boxes) == _area(box)
+            for cell in boxes:
+                assert cell.target == box.target
+                assert box.rows[0] <= cell.rows[0] < cell.rows[1] <= box.rows[1]
+                assert box.cols[0] <= cell.cols[0] < cell.cols[1] <= box.cols[1]
+            for i, a in enumerate(boxes):
+                assert not any(a.intersects(b) for b in boxes[i + 1 :]), (cfg, boxes)
             tiled += len(boxes) > 1
     assert tiled > 0 or schedule[1] in ("reference", "simultaneous")
     assert placed > 0 or schedule[1] in ("reference", "simultaneous")
@@ -264,6 +267,92 @@ def test_a_static_sweep_finds_no_hazard_in_any_planned_phase(schedule):
                         assert plan.seq_tasks == [] or variant in ("v1", "v2")
                         phases += 1
     assert phases > 1000
+
+
+# --- every task takes its operands through its declared spans ----------------
+
+
+@pytest.fixture
+def audit(monkeypatch):
+    """audit(tasks): runs each task's fn(None) in order and returns (task,
+    the spans its body took) pairs. view is replaced by a recorder where
+    lookahead, sevp and svd look it up."""
+    took = None
+    real = lookahead.view
+
+    def recorded(arrays, span):
+        took.append(span)
+        return real(arrays, span)
+
+    for mod in (lookahead, bandred.sevp, bandred.svd):
+        monkeypatch.setattr(mod, "view", recorded)
+
+    def audit(tasks):
+        nonlocal took
+        runs = []
+        for task in tasks:
+            took = []
+            runs.append((task, took))
+            task.fn(None)
+        return runs
+
+    return audit
+
+
+def _faults(runs):
+    """What the (task, spans taken) pairs of one reduction break: a span a
+    body takes that its task does not declare, or a declared span it does
+    not take that is no panel's (a body reads a panel through its factors,
+    factors[k], not through view)."""
+    panels = {t.writes[0] for t, _ in runs if t.reads == t.writes}
+    faults = []
+    for task, took in runs:
+        declared = {*task.reads, *task.writes}
+        faults += [(task.task_id, "undeclared", s) for s in took if s not in declared]
+        faults += [(task.task_id, "not taken", s) for s in declared - {*took, *panels}]
+    return faults
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids="-".join)
+def test_every_task_body_takes_exactly_its_declared_spans(monkeypatch, audit, schedule):
+    """Every task of every reduction over the grid, run serially on real
+    inputs, takes its operands through view of spans it declares, and takes
+    every span it declares but the panels it reads through their factors."""
+    runs = []
+    monkeypatch.setattr(lookahead, "run_phase",
+                        lambda plan, groups: runs.extend(audit(plan.seq_tasks + plan.par_tasks)))
+    rng = np.random.default_rng(5)
+    ran = 0
+    for cfg in _configs(*schedule):
+        runs.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if isinstance(cfg, SevpConfig):
+                reduce_sym_band(rng.standard_normal((cfg.n, cfg.n)), cfg)
+            else:
+                reduce_band_svd(rng.standard_normal((cfg.m, cfg.n)), cfg)
+        assert _faults(runs) == [], cfg
+        ran += len(runs)
+    assert ran > 1000
+
+
+def test_the_audit_catches_a_body_that_views_a_row_beyond_its_write(audit):
+    """A task that declares the write span but stores through a view one
+    row longer fails the audit twice: the longer span is undeclared, and
+    the declared one is never taken. The same task storing through its
+    declared span passes."""
+    arrays = {"A": np.zeros((4, 4), order="F")}
+    span, wider = Span("A", (0, 2), (0, 2)), Span("A", (0, 3), (0, 2))
+
+    def body(taken):
+        def fn(workers):
+            lookahead.view(arrays, taken)[...] = 1.0
+
+        return Task("mid@0", fn, [span])
+
+    assert _faults(audit([body(span)])) == []
+    faults = _faults(audit([body(wider)]))
+    assert faults == [("mid@0", "undeclared", wider), ("mid@0", "not taken", span)]
 
 
 # --- the band cut both reductions share --------------------------------------
