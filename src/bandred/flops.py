@@ -10,23 +10,25 @@ any (see flop_scope), so one reduction can count its own flops while
 others run on other threads; the runtime carries the context into its
 pool threads.
 
-Classes: "matmul" is 2mkn for every kernels.matmul call; "house" is 3L per
-Householder reflector of length L; "syr2k" is 4k per entry of the lower
-trapezoid of the strip a kernels.syr2k_lower call updates, the whole
-rank-2k update.
+Classes: "matmul" is 2mkn for every kernels.matmul call; "panel" is 2mkn
+for every product of a QR or LQ panel's column steps and of build_w,
+charged from a closed form once per panel and once per build_w call;
+"house" is 3L per Householder reflector of length L; "syr2k" is 4k per
+entry of the lower trapezoid of the strip a kernels.syr2k_lower call
+updates, the whole rank-2k update.
 
 Each class counts the same for every schedule, split and worker count: a
 schedule that cuts the trailing update into other column strips charges
 the same entries to "syr2k". At n=384, w=32, b=24 every SEVP variant
-counts 46,777,856 "matmul", 186,384 "house" and 32,245,888 "syr2k"
-flops, 79,210,128 in total.
+counts 42,038,272 "matmul", 4,739,584 "panel", 186,384 "house" and
+32,245,888 "syr2k" flops, 79,210,128 in total.
 """
 
 import contextvars
 import threading
 from contextlib import contextmanager
 
-CLASSES = ("matmul", "house", "syr2k")
+CLASSES = ("matmul", "panel", "house", "syr2k")
 
 # The counter of the flop scope open in this context, or None.
 _SCOPE = contextvars.ContextVar("bandred_flop_scope", default=None)

@@ -31,17 +31,21 @@ symmetric reduction's tasks (the X products, and the WY applications to
 the mid block and to Q) sum through compiled C (_SUM_SOURCE) with the
 NumPy step's bits: every entry's chain runs in inner order, one rounded
 product and one rounded add per index, and no loop vectorizes across an
-inner index. Every product but the rank-2k update is still a matmul call,
-which checks the shapes and charges the flops, so the "matmul" flop class
-stays 2mkn per matmul call. Three entry points:
+inner index. Five entry points:
 - bandred_product runs matmul's whole step (beta, alpha, sum) over any
-  strides. _COMPILED_SUM hands it the panels' inner-block updates and the
-  SEVP X products and WY applications (apply_wy_left/apply_wy_right
-  called with _sum=_COMPILED_SUM), one call per worker's rows, reading
-  the addresses off the views; _At hands it the small products of a panel
-  column and of build_w, at addresses the caller works out from its
-  arrays' bases;
-- bandred_symm_lower sums symm_lower from A2's lower triangle (_SymmLower);
+  strides, at the addresses of the views (_product). _COMPILED_SUM hands
+  it the panels' inner-block updates and the SEVP X products and WY
+  applications (apply_wy_left/apply_wy_right called with
+  _sum=_COMPILED_SUM), one call per worker's rows. These are matmul
+  calls, which check the shapes and charge "matmul", 2mkn per call;
+- bandred_panel_column runs a panel column's step after house_gen, the
+  four products of _column as four bandred_product calls, and
+  bandred_build_w runs build_w's b column products: a Python-level call
+  per product costs more than the product's arithmetic. They charge
+  "panel" from closed forms, once per panel (_column_flops) and once per
+  build_w call, as the NumPy path does;
+- bandred_symm_lower sums symm_lower from A2's lower triangle
+  (_SymmLower), a matmul call;
 - bandred_syr2k_lower runs syr2k_lower's whole strip, or one worker's
   piece of its columns per call when workers share it (_syr2k). It
   charges "syr2k" once, never "matmul".
@@ -257,6 +261,51 @@ void bandred_syr2k_lower(long c0, long c1, long j, long k, double *a, long ar,
         }
     }
 }
+
+/* A panel's column i after house_gen (_column): the j x b frame q (entry
+   (r, c) at q[r*qr + c*qc]) gets beta at (i, i) and v's tail below it, the
+   column-major y (j x b) gets v (length j - i) in its column i, H_i is
+   applied to the frame's columns i+1..e-1 (for an LQ panel, lq != 0, with
+   -tau folded into the other factor) and t (b x b, column-major) gets
+   column i. Each product is one bandred_product call on the operands and
+   strides that _column hands _numpy_step, so the bits are _column's. */
+BANDRED_CLONES
+void bandred_panel_column(long j, long b, long i, long e, long lq, double tau,
+                          double beta, const double *v, double *q, long qr,
+                          long qc, double *y, double *t)
+{
+    const long l = j - i, n = e - i - 1;
+    double *yv = y + i * (j + 1), *rest = q + i * (qr + qc) + qc;
+    double t1[n > 0 ? n : 1], tmp[i > 0 ? i : 1];
+    for (long r = 0; r < l; r++)
+        yv[r] = v[r];
+    q[i * (qr + qc)] = beta;
+    for (long r = 1; r < l; r++)
+        q[(i + r) * qr + i * qc] = v[r];
+    if (n > 0 && tau != 0.0) {
+        bandred_product(1, n, l, 1.0, 0.0, yv, j, 1, rest, qr, qc, t1, 1, 1);
+        if (lq)
+            bandred_product(n, l, 1, -tau, 1.0, t1, 1, 1, yv, j, 1, rest, qc, qr);
+        else
+            bandred_product(l, n, 1, -tau, 1.0, yv, 1, j, t1, 1, 1, rest, qr, qc);
+    }
+    if (i > 0) {
+        bandred_product(i, 1, l, 1.0, 0.0, y + i, j, 1, yv, 1, j, tmp, 1, b);
+        bandred_product(i, 1, i, -tau, 0.0, t, 1, b, tmp, 1, b, t + i * b, 1, b);
+    }
+    t[i * (b + 1)] = -tau;
+}
+
+/* build_w: column c of the column-major j x b w is y's first c + 1
+   columns times t's column c (y's entry (r, p) at y[r*yr + p*yc], t's
+   likewise), one bandred_product call per column. */
+BANDRED_CLONES
+void bandred_build_w(long j, long b, const double *y, long yr, long yc,
+                     const double *t, long tr, long tc, double *w)
+{
+    for (long c = 0; c < b; c++)
+        bandred_product(j, 1, c + 1, 1.0, 0.0, y, yr, yc, t + c * tc, tr, tc, w + c * j, 1, j);
+}
 """
 # No FMA contraction and no reassociation (-ffast-math, -fassociative-math):
 # either changes bits. No -march=native: a library cached in a home directory
@@ -310,6 +359,8 @@ _ENTRY_POINTS = {
     "product": "lllddpllpllpll",
     "symm_lower": "llllpllpllplp",
     "syr2k_lower": "llllpllpllpll",
+    "panel_column": "lllllddppllpp",
+    "build_w": "llpllpllp",
 }
 
 
@@ -327,34 +378,16 @@ def _load_lib(lib):
     return SimpleNamespace(**fns)
 
 
-class _At:
-    """matmul's step for a product whose operand addresses the caller works
-    out from its arrays' bases: one bandred_product call runs it. Reading
-    an address off a view (ndarray.ctypes) costs about as much as a small
-    product, and a panel column makes four of them. Its call is the one
-    place that spells out bandred_product's arguments (strides go in
-    entries)."""
-
-    __slots__ = ("fn", "a", "b", "c")
-
-    def __init__(self, fn, a, b, c):
-        self.fn, self.a, self.b, self.c = fn, a, b, c
-
-    def __call__(self, alpha, A, B, beta, C, workers):
-        m, k = A.shape
-        (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
-        self.fn(m, C.shape[1], k, alpha, beta, self.a, ar >> 3, ac >> 3, self.b, br >> 3,
-                bc >> 3, self.c, cr >> 3, cc >> 3)
-
-
 def _product(fn, alpha, A, B, beta, C):
     """C := alpha*A*B + beta*C by one call of the compiled product fn at the
-    addresses of the views. A C laid out by rows is summed as C^T = B^T A^T
-    when alpha is 1, so the loop runs down C's unit stride: the same
-    products in the same order."""
+    addresses of the views (strides go in entries). A C laid out by rows is
+    summed as C^T = B^T A^T when alpha is 1, so the loop runs down C's unit
+    stride: the same products in the same order."""
     if alpha == 1.0 and C.strides[0] > C.strides[1]:
         A, B, C = B.T, A.T, C.T
-    _At(fn, A.ctypes.data, B.ctypes.data, C.ctypes.data)(alpha, A, B, beta, C, None)
+    (ar, ac), (br, bc), (cr, cc) = A.strides, B.strides, C.strides
+    fn(C.shape[0], C.shape[1], A.shape[1], alpha, beta, A.ctypes.data, ar >> 3, ac >> 3,
+       B.ctypes.data, br >> 3, bc >> 3, C.ctypes.data, cr >> 3, cc >> 3)
 
 
 class _CompiledSum:
@@ -381,9 +414,10 @@ class _CompiledSum:
                     cache = _private_dir(self._cache_dir or _default_cache_dir())
                     self._lib = _load_lib(_build_sum(cc, _SUM_FLAGS, cache))
                 except (OSError, subprocess.SubprocessError) as e:
-                    warnings.warn(f"bandred: compiled sum unavailable ({e}); the panels, build_w, "
-                                  "symm_lower, syr2k_lower, the SEVP X products and the SEVP WY "
-                                  "applications use the NumPy sum: same bits, slower",
+                    warnings.warn(f"bandred: compiled sum unavailable ({e}); the panels' column "
+                                  "steps and inner-block updates, build_w, symm_lower, "
+                                  "syr2k_lower, the SEVP X products and the SEVP WY applications "
+                                  "use the NumPy sum: same bits and flops, slower",
                                   RuntimeWarning, stacklevel=4)
                 finally:
                     # Also when the warning is raised as an error: the
@@ -480,9 +514,8 @@ def matmul(alpha, A, B, beta, C, workers=None, *, _sum=_numpy_step):
     sweep. Results are bitwise identical for any worker count. matmul checks
     the shapes, charges the flops and runs _sum(alpha, A, B, beta, C,
     workers), the step: _numpy_step, or in compiled C _COMPILED_SUM (the
-    panels' inner-block updates, the SEVP X products and WY applications),
-    _At (a panel column's products, build_w) or _SymmLower
-    (symm_lower). Every step gives the same bits.
+    panels' inner-block updates, the SEVP X products and WY applications)
+    or _SymmLower (symm_lower). Every step gives the same bits.
     """
     _as2d(A, "A"), _as2d(B, "B"), _as2d(C, "C")
     m, k = A.shape
@@ -561,43 +594,67 @@ class PanelFactors:
 
 def build_w(Y, T):
     """W = Y * T, column by column (T is upper triangular, so column i only
-    involves Y's first i+1 columns)."""
+    involves Y's first i+1 columns): 2j(i+1) "panel" flops for column i,
+    charged at once. The compiled sum runs it in one bandred_build_w call."""
     _as2d(Y, "Y"), _as2d(T, "T")
     j, b = Y.shape
     if T.shape != (b, b):
         raise ValueError("build_w: T must be b x b")
+    FLOPS.add("panel", j * b * (b + 1))
     W = np.zeros((j, b), order="F")
     lib = _COMPILED_SUM.lib_for(Y, T)
-    y, t, w, tc = Y.ctypes.data, T.ctypes.data, W.ctypes.data, T.strides[1]
-    for i in range(b):
-        sum_ = _numpy_step if lib is None else _At(lib.product, y, t + i * tc, w + 8 * i * j)
-        matmul(1.0, Y[:, : i + 1], T[: i + 1, i : i + 1], 0.0, W[:, i : i + 1], _sum=sum_)
+    if lib is None:
+        for i in range(b):
+            _numpy_step(1.0, Y[:, : i + 1], T[: i + 1, i : i + 1], 0.0, W[:, i : i + 1], None)
+    else:
+        (yr, yc), (tr, tc) = Y.strides, T.strides
+        lib.build_w(j, b, Y.ctypes.data, yr >> 3, yc >> 3, T.ctypes.data, tr >> 3, tc >> 3,
+                    W.ctypes.data)
     return W
 
 
-def _column(Q, Y, T, t1, tmp, v, tau, beta, i, e, lq, sums):
-    """Column i of _panel after house_gen: store beta, v's tail and v (in Y),
-    apply H_i to the rest of the inner block, and extend the compact-WY
-    triangle, T[0:i, i] = -tau * T[0:i, 0:i] * (Y[i:, 0:i]^T v),
+def _column(Q, Y, T, v, tau, beta, i, e, lq):
+    """Column i of _panel after house_gen, in NumPy: store beta, v's tail
+    and v (in Y), apply H_i to the rest of the inner block, and extend the
+    compact-WY triangle, T[0:i, i] = -tau * T[0:i, 0:i] * (Y[i:, 0:i]^T v),
     T[i, i] = -tau. Y's earlier columns are zero above row i, so the dot
-    only needs their tail rows. sums holds the _sum of each of the four
-    products, in order."""
+    only needs their tail rows. bandred_panel_column makes the same four
+    products."""
     Y[i:, i] = v
     Q[i, i] = beta
     Q[i + 1 :, i] = v[1:]
     vcol = Y[i:, i : i + 1]
     if e - i > 1 and tau != 0.0:
-        rest, t1 = Q[i:, i + 1 : e], t1[:, : e - i - 1]
-        matmul(1.0, vcol.T, rest, 0.0, t1, _sum=sums[0])
+        rest = Q[i:, i + 1 : e]
+        t1 = np.zeros((1, e - i - 1), order="F")  # v^T times rest
+        _numpy_step(1.0, vcol.T, rest, 0.0, t1, None)
         if lq:  # the rows' A := A - ((A v) tau) v^T: -tau folds into A v
-            matmul(-tau, t1.T, vcol.T, 1.0, rest.T, _sum=sums[1])
+            _numpy_step(-tau, t1.T, vcol.T, 1.0, rest.T, None)
         else:
-            matmul(-tau, vcol, t1, 1.0, rest, _sum=sums[1])
+            _numpy_step(-tau, vcol, t1, 1.0, rest, None)
     if i > 0:
-        tmp = tmp[:i]
-        matmul(1.0, Y[i:, :i].T, vcol, 0.0, tmp, _sum=sums[2])
-        matmul(-tau, T[:i, :i], tmp, 0.0, T[:i, i : i + 1], _sum=sums[3])
+        tmp = np.zeros((i, 1), order="F")  # Y's tail rows^T times v
+        _numpy_step(1.0, Y[i:, :i].T, vcol, 0.0, tmp, None)
+        _numpy_step(-tau, T[:i, :i], tmp, 0.0, T[:i, i : i + 1], None)
     T[i, i] = -tau
+
+
+def _column_flops(j, b, tau):
+    """2mkn over the products _column makes in a j x b panel with
+    reflector scalars tau, in closed form. Column i of an inner block
+    that ends at e makes 2ij flops (Y's tail rows^T v, 2i(j-i), and T's
+    column, 2i^2) and 4(j-i)(e-i-1) applying H_i; where tau is 0 it makes
+    only Y's tail rows^T v."""
+    flops = j * b * (b - 1)
+    for s in range(0, b, PANEL_INNER_B):
+        # the block's n columns apply H_i to d = e-i-1 = 0..n-1 columns of
+        # j-i = j-e+1+d rows: 4(j-e+1+d)d summed over d
+        n = min(PANEL_INNER_B, b - s)
+        flops += 2 * (j - s - n + 1) * n * (n - 1) + 2 * (n - 1) * n * (2 * n - 1) // 3
+    for i in np.flatnonzero(tau == 0.0).tolist():
+        e = min(i - i % PANEL_INNER_B + PANEL_INNER_B, b)
+        flops -= 2 * i * i + 4 * (j - i) * (e - i - 1)
+    return flops
 
 
 def _panel(Q, lq):
@@ -606,24 +663,21 @@ def _panel(Q, lq):
 
     The frame serves both panels: an LQ panel's reflectors act on its rows,
     which are the frame's columns, and every entry below sums the same
-    products in the same order either way. The one difference is where
-    matmul folds -tau when H_i is applied (see _column). Every product is a
-    matmul call. Where the compiled sum is loaded, the column steps' small
-    products run as single bandred_product calls at addresses worked out
-    here from the arrays' bases (_At), and the inner-block updates sum with
-    the compiled sum; the bits and flops are the NumPy sum's either way.
+    products in the same order either way. The one difference is where -tau
+    folds when H_i is applied (see _column). Each column after house_gen is
+    one bandred_panel_column call where the compiled sum is loaded, and
+    _column otherwise; the inner-block updates are matmul calls on the
+    compiled sum. The column steps are charged to "panel" at once, from
+    _column_flops; the bits and flops are the same on either path.
     """
     j, b = Q.shape
     Y = np.zeros((j, b), order="F")
     T = np.zeros((b, b), order="F")
     tau = np.zeros(b)
-    t1 = np.zeros((1, b), order="F")  # v^T times the rest of the inner block
-    tmp = np.zeros((b, 1), order="F")  # Y's tail rows^T times v
     lib = _COMPILED_SUM.lib_for(out=(Q,))
-    sums = (_numpy_step,) * 4
     if lib is not None:
-        fn, (q0, q1) = lib.product, Q.strides
-        q, y, t, w1, w2 = (x.ctypes.data for x in (Q, Y, T, t1, tmp))
+        qr, qc = (x >> 3 for x in Q.strides)
+        q, y, t = Q.ctypes.data, Y.ctypes.data, T.ctypes.data
     for s in range(0, b, PANEL_INNER_B):
         e = min(s + PANEL_INNER_B, b)
         if s > 0:
@@ -638,13 +692,11 @@ def _panel(Q, lq):
         for i in range(s, e):
             v, ti, beta = house_gen(Q[i:, i])
             tau[i] = ti
-            if lib is not None:  # the operands of _column's four products
-                yv, rest = y + 8 * i * (j + 1), q + i * (q0 + q1) + q1
-                sums = (_At(fn, yv, rest, w1),
-                        _At(fn, w1, yv, rest) if lq else _At(fn, yv, w1, rest),
-                        _At(fn, y + 8 * i, yv, w2),
-                        _At(fn, t, w2, t + 8 * i * b))
-            _column(Q, Y, T, t1, tmp, v, ti, beta, i, e, lq, sums)
+            if lib is None:
+                _column(Q, Y, T, v, ti, beta, i, e, lq)
+            else:
+                lib.panel_column(j, b, i, e, lq, ti, beta, v.ctypes.data, q, qr, qc, y, t)
+    FLOPS.add("panel", _column_flops(j, b, tau))
     return Y, T, build_w(Y, T), tau
 
 

@@ -71,8 +71,12 @@ def view(arrays, span):
 
 def buffer(arrays, name, rows, cols):
     """Add a zeroed rows x cols F-order buffer to arrays as name; return
-    its whole span."""
-    arrays[name] = np.zeros((rows, cols), order="F")
+    its whole span. Its data starts on a 64-byte boundary: np.zeros
+    promises 16 bytes, and the compiled symm_lower runs about 15% slower
+    on an output off a 32-byte one. The bits do not depend on it."""
+    raw = np.zeros(rows * cols + 7)
+    start = -raw.ctypes.data % 64 // 8
+    arrays[name] = raw[start : start + rows * cols].reshape((rows, cols), order="F")
     return Span(name, (0, rows), (0, cols))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -322,7 +323,7 @@ def test_apply_wy_matches_loop_oracle_bitwise(case, pool_workers):
 
 def test_flop_snapshot_reports_every_class_after_reset():
     FLOPS.reset()
-    assert FLOPS.snapshot() == {"matmul": 0, "house": 0, "syr2k": 0, "total": 0}
+    assert FLOPS.snapshot() == {"matmul": 0, "panel": 0, "house": 0, "syr2k": 0, "total": 0}
     syr2k_lower(np.zeros((3, 3)), np.ones((3, 2)), np.ones((3, 2)))
     snap = FLOPS.snapshot()
     assert snap["syr2k"] == 4 * 2 * 3 * 4 // 2 and snap["house"] == 0
@@ -1118,6 +1119,62 @@ def test_compiled_panels_match_numpy_panels_bitwise(case, compiled_sum, numpy_su
     assert flops1 == flops2
     if case["zero"]:
         assert np.count_nonzero(f1.tau == 0.0) >= 1
+
+
+def _panel_products(j, b, tau):
+    """(m, k, n) of every product of a j x b panel with reflector scalars
+    tau, by flop class: "panel" for the column steps and build_w, "matmul"
+    for the inner-block updates. Products with alpha = -tau = 0 make none."""
+    inner = kernels.PANEL_INNER_B
+    shapes = {"panel": [], "matmul": []}
+    for s in range(0, b, inner):
+        e = min(s + inner, b)
+        if s > 0:  # Y^T blk, T^T u1, Y u2
+            shapes["matmul"] += [(s, j, e - s), (s, s, e - s), (j, s, e - s)]
+        for i in range(s, e):
+            shapes["panel"].append((i, j - i, 1))  # Y's tail rows^T v
+            if tau[i] != 0.0:  # v^T rest, v t1 (or its transpose), T's column
+                shapes["panel"] += [(1, j - i, e - i - 1), (j - i, 1, e - i - 1), (i, i, 1)]
+    shapes["panel"] += [(j, i + 1, 1) for i in range(b)]  # build_w
+    return shapes
+
+
+@pytest.mark.parametrize("lq", [False, True])
+@pytest.mark.parametrize("b", [8, 16, 24])
+@pytest.mark.parametrize("zero", [(), (0, 3, 16)])
+def test_panel_flops_are_the_closed_form_on_both_sums(lq, b, zero, compiled_sum, numpy_sum):
+    """A panel charges its column steps and build_w to "panel" and its
+    inner-block updates to "matmul", 2mkn per product either way, on the
+    compiled and the NumPy sum alike; a zeroed column (QR) or row (LQ) has
+    tau = 0 and skips the products that -tau scales."""
+    j = 90
+    P0 = _rand(j, b, 81)
+    for c in (c for c in zero if c < b):
+        P0[:, c] = 0.0
+    for sum_ in (compiled_sum, numpy_sum):
+        P = P0.T.copy(order="F") if lq else P0.copy(order="F")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_COMPILED_SUM", sum_)
+            FLOPS.reset()
+            f = (lq_panel if lq else qr_panel)(P)
+            flops = FLOPS.snapshot()
+        assert set(np.flatnonzero(f.tau == 0.0)) == {c for c in zero if c < b}
+        want = {cls: sum(2 * m * k * n for m, k, n in shapes)
+                for cls, shapes in _panel_products(j, b, f.tau).items()}
+        assert (flops["panel"], flops["matmul"]) == (want["panel"], want["matmul"])
+        assert flops["house"] == sum(3 * (j - i) for i in range(b))
+
+
+def test_every_entry_point_is_typed_as_its_c_prototype():
+    """_ENTRY_POINTS gives each bandred_ function of _SUM_SOURCE its C
+    prototype's arity and argument types (l long, d double, p pointer), so
+    an entry point typed wrong fails here, not by reading stray memory."""
+    letter = {"long": "l", "double": "d"}
+    protos = {}
+    for name, params in re.findall(r"void bandred_(\w+)\(([^)]*)\)", kernels._SUM_SOURCE):
+        args = params.split(",")
+        protos[name] = "".join("p" if "*" in a else letter[a.split()[0]] for a in args)
+    assert protos == kernels._ENTRY_POINTS
 
 
 def _host_has_fma():

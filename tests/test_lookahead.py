@@ -376,3 +376,19 @@ def test_keep_band_keeps_the_band_bits_and_zeroes_the_rest_to_plus_zero(m, n, lo
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert not np.signbit(got[~inside]).any()
     assert np.signbit(got[inside & (A == 0.0)]).all()
+
+
+# --- the iteration's buffers ---------------------------------------------------
+
+
+def test_every_buffer_is_zeroed_column_major_and_64_byte_aligned():
+    """buffer hands out zeroed, writeable F-order arrays whose data starts on
+    a 64-byte boundary, whatever the shape (np.zeros promises 16 bytes)."""
+    arrays = {}
+    for rows in range(1, 11):
+        for cols in (1, 2, 3, 16, 24):
+            span = lookahead.buffer(arrays, "X", rows, cols)
+            x = arrays["X"]
+            assert span == Span("X", (0, rows), (0, cols)) and x.shape == (rows, cols)
+            assert x.flags.f_contiguous and x.flags.writeable and not x.any()
+            assert x.ctypes.data % 64 == 0, (rows, cols)

@@ -487,5 +487,5 @@ def test_flop_scope_counts_only_while_open():
     with flop_scope() as scope:
         matmul(1.0, A, B, 0.0, C)
     matmul(1.0, A, B, 0.0, C)
-    assert scope.snapshot() == {"matmul": 48, "house": 0, "syr2k": 0, "total": 48}
+    assert scope.snapshot() == {"matmul": 48, "panel": 0, "house": 0, "syr2k": 0, "total": 48}
     assert FLOPS.total - before == 96
